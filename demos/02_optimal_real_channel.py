@@ -20,7 +20,7 @@ from imaginarity import (
     from_pure,
     gen_max_imaginary,
     gen_random_density,
-    imaginarity_trace_norm,
+    imaginarity_fidelity,
     plus_i,
     state_of,
     BlochVector,
@@ -38,7 +38,7 @@ print("real input           -> fidelity", f"{result.fidelity:.12f}")
 rho = state_of(BlochVector(0.0, 0.5, 0.0))
 result = convert_to_plus_hat(rho)
 print("Bloch (0, 0.5, 0)    -> fidelity", f"{result.fidelity:.12f}",
-      " optimum:", 0.5 + imaginarity_trace_norm(rho) / 4)
+      " optimum:", imaginarity_fidelity(rho))
 
 # The Kraus family itself is tiny: d/2 (or (d+1)/2) operators of 0s and 1s.
 kraus = build_kraus(4)

@@ -83,18 +83,11 @@ def _cmd_classify(args) -> list:
 
 
 def _cmd_measure(args) -> list:
+    keys = ("overlap_conj", "imag_trace_norm", "imag_fidelity", "robustness")
     lines = []
     for path in args.paths:
-        rho = _load_state(path)
-        tn = measures.imaginarity_trace_norm(rho)
-        lines.append(
-            {
-                "overlap_conj": measures.overlap_conj(rho),
-                "imag_trace_norm": tn,
-                "imag_fidelity": 0.5 + tn / 4.0,
-                "robustness": tn / 2.0,
-            }
-        )
+        report = measures.classify(_load_state(path)).to_json()
+        lines.append({key: report[key] for key in keys})
     return lines
 
 
@@ -130,7 +123,7 @@ def _cmd_simulate(args) -> list:
                 {
                     "error": "zero-resource input refused",
                     "report": report.to_json(),
-                    "best_fidelity": 0.5 + report.imag_trace_norm / 4.0,
+                    "best_fidelity": report.imag_fidelity,
                 }
             )
         resource = realops.convert_to_plus_hat(rho).output

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .measures import UNIVERSAL, ClassificationReport, classify, imaginarity_trace_norm
+from .measures import UNIVERSAL, ClassificationReport, classify
 from .states import DensityMatrix, PureState, basis_state, from_pure, plus_i
 from .realops import ConversionResult, convert_to_plus_hat
 
@@ -379,7 +379,7 @@ def theorem1_pipeline(rho: DensityMatrix, seed: int = 0, tolerance: float = 1e-9
     are refused with the best achievable fidelity, strictly below 1.
     """
     report = classify(rho, tolerance=tolerance)
-    best_fidelity = 0.5 + imaginarity_trace_norm(rho) / 4.0
+    best_fidelity = report.imag_fidelity
     if report.verdict != UNIVERSAL:
         return PipelineResult(report, best_fidelity, None, None)
     conversion = convert_to_plus_hat(rho)

@@ -2,8 +2,9 @@
 
 Plain numpy (complex128) throughout.  All functions are pure: inputs are
 never mutated and there is no global state, so everything here is safe to
-share across threads.  Matrices at play are small (dimension <= ~64), so
-dense storage and O(d^3) eigendecompositions are always fine.
+share across threads.  Storage is dense and the decompositions (eigh, QR,
+SVD) cost O(d^3), which suits dimensions up to a few hundred; the
+benchmark runs them at d = 512.
 """
 
 from __future__ import annotations
@@ -39,38 +40,11 @@ def _require_real(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m.real.copy()
 
 
-def matmul(a, b) -> np.ndarray:
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for matrix product: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def conjugate(a) -> np.ndarray:
-    """Entrywise complex conjugate."""
-    return _as_matrix(a).conj()
-
-
-def transpose(a) -> np.ndarray:
-    return _as_matrix(a).T.copy()
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T.copy()
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the slow index."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
-
-
 def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out all subsystems not listed in `keep`.
 
     `dims` lists the subsystem dimensions (slow index first, matching
-    `tensor`); `keep` is a set of subsystem indices to retain.
+    `np.kron`); `keep` is a set of subsystem indices to retain.
     """
     m = _as_matrix(m)
     _require_square(m)
@@ -120,10 +94,9 @@ def trace_norm(m, tol: float = DEFAULT_TOL) -> float:
 def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Extend k real orthonormal columns to a full real orthogonal matrix.
 
-    Uses modified Gram-Schmidt against the canonical basis with
-    re-orthogonalization; canonical vectors that are (nearly) in the span
-    already are skipped, which makes the completion deterministic.  The
-    input columns are reproduced bitwise in the output.
+    The completion is the trailing columns of a complete QR factorization
+    of the input, which makes it deterministic.  The input columns are
+    reproduced bitwise in the output.
     """
     c = _as_matrix(columns, "columns")
     q = _require_real(c, "columns")
@@ -134,20 +107,7 @@ def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
     if gram_dev > tol:
         raise ValueError(f"input columns are not orthonormal (max deviation {gram_dev:.3e})")
 
-    basis = [q[:, j].copy() for j in range(k)]
-    for i in range(n):
-        if len(basis) == n:
-            break
-        v = np.zeros(n)
-        v[i] = 1.0
-        for _ in range(2):
-            for u in basis:
-                v = v - (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv < 1e-3:  # e_i already (nearly) in the span; try the next one
-            continue
-        basis.append(v / nv)
-    out = np.stack(basis, axis=1)
+    out, _ = np.linalg.qr(q, mode="complete")
     out[:, :k] = q
     return out
 
@@ -181,7 +141,8 @@ def skew_canonical(a, tol: float = DEFAULT_TOL) -> SkewCanonicalForm:
     Computed through the Hermitian eigendecomposition of iA: eigenvalues
     come in pairs +/- a_m, and the real and imaginary parts of an
     eigenvector for +a_m span an invariant 2-plane carrying the block
-    a_m * [[0, -1], [1, 0]].
+    a_m * [[0, -1], [1, 0]].  One complete QR factorization orthonormalizes
+    these Re/Im columns and completes them.
     """
     m = _as_matrix(a)
     _require_square(m)
@@ -194,25 +155,19 @@ def skew_canonical(a, tol: float = DEFAULT_TOL) -> SkewCanonicalForm:
 
     w, v = np.linalg.eigh(1j * A)
     cutoff = 1e-12 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    pos = [int(i) for i in np.argsort(w)[::-1] if w[i] > cutoff]
+    pos = np.argsort(w)[::-1]
+    pos = pos[w[pos] > cutoff]
+    vecs = np.sqrt(2.0) * v[:, pos]
+    paired = np.empty((d, 2 * len(pos)))
+    paired[:, 0::2] = vecs.real
+    paired[:, 1::2] = vecs.imag
 
-    rows: list[np.ndarray] = []
-    vals: list[float] = []
-    for idx in pos:
-        vec = v[:, idx]
-        for u in (np.sqrt(2.0) * vec.real, np.sqrt(2.0) * vec.imag):
-            u = u.copy()
-            for _ in range(2):
-                for r in rows:
-                    u = u - (r @ u) * r
-            u = u / np.linalg.norm(u)
-            rows.append(u)
-        vals.append(float(w[idx]))
-
-    paired = np.zeros((d, 0)) if not rows else np.stack(rows, axis=1)
-    full = orthonormal_complete(paired)
-    n_zero_blocks = (d - 2 * len(vals)) // 2
-    block_values = np.array(vals + [0.0] * n_zero_blocks)
+    # Raw eigenvectors lose orthogonality near the cutoff; QR restores it.
+    # Signs from diag(R) keep each column pointing along its input column.
+    full, r = np.linalg.qr(paired, mode="complete")
+    full[:, : paired.shape[1]] *= np.where(np.diag(r) < 0, -1.0, 1.0)
+    n_zero_blocks = (d - paired.shape[1]) // 2
+    block_values = np.concatenate([w[pos], np.zeros(n_zero_blocks)])
     return SkewCanonicalForm(
         block_values=block_values,
         orthogonal=full.T,

@@ -34,28 +34,26 @@ class RealKrausSet:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=float) for k in self.operators)
-        if not ops:
+        ops = np.array(self.operators, dtype=float)
+        if len(ops) == 0:
             raise ValueError("Kraus set must contain at least one operator")
-        for k in ops:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise ValueError(
-                    f"operator shape {k.shape} inconsistent with "
-                    f"({self.out_dim}, {self.in_dim})"
-                )
-        comp = sum(k.T @ k for k in ops)
-        dev = np.max(np.abs(comp - np.eye(self.in_dim)))
+        if ops.shape[1:] != (self.out_dim, self.in_dim):
+            raise ValueError(
+                f"operator shape {ops.shape[1:]} inconsistent with "
+                f"({self.out_dim}, {self.in_dim})"
+            )
+        stacked = ops.reshape(-1, self.in_dim)
+        dev = np.max(np.abs(stacked.T @ stacked - np.eye(self.in_dim)))
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
+        ops.setflags(write=False)
+        object.__setattr__(self, "operators", tuple(ops))
 
     def to_json(self) -> dict:
         return {
             "in_dim": self.in_dim,
             "out_dim": self.out_dim,
-            "operators": [k.tolist() for k in self.operators],
+            "operators": np.stack(self.operators).tolist(),
         }
 
     @classmethod
@@ -63,7 +61,7 @@ class RealKrausSet:
         return cls(
             in_dim=int(obj["in_dim"]),
             out_dim=int(obj["out_dim"]),
-            operators=tuple(np.asarray(k, dtype=float) for k in obj["operators"]),
+            operators=obj["operators"],
         )
 
 
@@ -133,9 +131,13 @@ def apply_kraus(kraus: RealKrausSet, align, rho: DensityMatrix) -> DensityMatrix
     o = np.eye(kraus.in_dim) if align is None else np.asarray(align, dtype=float)
     if o.shape != (kraus.in_dim, kraus.in_dim):
         raise ValueError(f"alignment shape {o.shape} inconsistent with dimension {kraus.in_dim}")
-    sigma = o @ rho.matrix @ o.T
-    out = sum(k @ sigma @ k.T for k in kraus.operators)
-    return DensityMatrix(out)
+    # M_m = K_m O stacked: the output is sum_m M_m rho M_m^T in one contraction.
+    m, out = len(kraus.operators), kraus.out_dim
+    aligned = np.concatenate(kraus.operators) @ o
+    left = (aligned @ rho.matrix).reshape(m, out, kraus.in_dim)
+    return DensityMatrix(
+        np.einsum("moj,mpj->op", left, aligned.reshape(m, out, kraus.in_dim))
+    )
 
 
 @dataclass(frozen=True)
@@ -169,11 +171,8 @@ def dilate(kraus: RealKrausSet) -> RealDilation:
     """
     e = len(kraus.operators)
     total = kraus.out_dim * e
-    w = np.zeros((total, kraus.in_dim))
-    for m, k in enumerate(kraus.operators):
-        env = np.zeros((e, 1))
-        env[m, 0] = 1.0
-        w += np.kron(k, env)
+    # Row (o, m) of W is row o of K_m.
+    w = np.stack(kraus.operators, axis=1).reshape(total, kraus.in_dim)
     unitary = linalg.orthonormal_complete(w)
     return RealDilation(
         isometry=w,
@@ -193,10 +192,10 @@ def apply_dilation(dilation: RealDilation, align, rho: DensityMatrix) -> Density
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != dilation input dimension {d}")
     o = np.eye(d) if align is None else np.asarray(align, dtype=float)
-    sigma = o @ rho.matrix @ o.T
-    embedded = np.zeros((total, total), dtype=complex)
-    embedded[:d, :d] = sigma
-    evolved = dilation.unitary @ embedded @ dilation.unitary.T
+    # The input occupies the first d coordinates and the padding is zero,
+    # so only the first d columns of the unitary act.
+    v = dilation.unitary[:, :d] @ o
+    evolved = v @ rho.matrix @ v.T
     out_dim = total // dilation.env_dim
     reduced = linalg.partial_trace(evolved, [out_dim, dilation.env_dim], keep={0})
     return DensityMatrix(reduced)

@@ -5,10 +5,7 @@ import pytest
 
 from imaginarity import linalg
 
-H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.diag([1, 1j]).astype(complex)
 Z = np.diag([1, -1]).astype(complex)
-CS = np.kron(np.diag([1.0, 0.0]), np.eye(2)) + np.kron(np.diag([0.0, 1.0]), S)
 
 
 def random_hermitian(dim, rng):
@@ -16,60 +13,34 @@ def random_hermitian(dim, rng):
     return (g + g.conj().T) / 2
 
 
-class TestProducts:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.matmul(np.eye(2), H), H)
-
-    def test_hadamard_involution(self):
-        np.testing.assert_allclose(linalg.matmul(H, H), np.eye(2), atol=1e-15)
-
-    def test_s_squared_is_z(self):
-        np.testing.assert_allclose(linalg.matmul(S, S), Z, atol=1e-15)
-
-    def test_shape_mismatch_reports_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 2\) x \(3, 3\)"):
-            linalg.matmul(np.eye(2), np.eye(3))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.matmul(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
+def skew_from_blocks(values, dim, rng):
+    """Q^T (direct sum of a_m [[0, -1], [1, 0]]) Q for a random orthogonal Q."""
+    canon = np.zeros((dim, dim))
+    idx = 2 * np.arange(len(values))
+    canon[idx, idx + 1] = -np.asarray(values)
+    canon[idx + 1, idx] = values
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q.T @ canon @ q
 
 
-class TestAdjoints:
-    def test_conjugate_s(self):
-        np.testing.assert_allclose(linalg.conjugate(S), np.diag([1, -1j]))
-
-    def test_transpose_h(self):
-        np.testing.assert_allclose(linalg.transpose(H), H)
-
-    def test_adjoint_cs_unitary(self):
-        np.testing.assert_allclose(linalg.adjoint(CS) @ CS, np.eye(4), atol=1e-15)
-
-
-class TestTensor:
-    def test_identity_factors(self):
-        np.testing.assert_allclose(linalg.tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_structure(self):
-        p0 = np.diag([1.0, 0.0])
-        t = linalg.tensor(p0, Z)
-        np.testing.assert_allclose(t[:2, :2], Z)
-        np.testing.assert_allclose(t[2:, :], 0)
-        np.testing.assert_allclose(t[:, 2:], 0)
-
-    def test_controlled_s_assembly(self):
-        t = linalg.tensor(np.diag([0.0, 1.0]), S) + linalg.tensor(np.diag([1.0, 0.0]), np.eye(2))
-        np.testing.assert_allclose(t, CS)
-
-    def test_multiplicative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            da, db = rng.integers(2, 5, size=2)
-            a, c = (rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da)) for _ in range(2))
-            b, d = (rng.standard_normal((db, db)) + 1j * rng.standard_normal((db, db)) for _ in range(2))
-            lhs = linalg.tensor(a, b) @ linalg.tensor(c, d)
-            rhs = linalg.tensor(a @ c, b @ d)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+def skew_sweep_inputs():
+    """Random skew matrices, then block spectra near the eigenvalue cutoff
+    (1e-12 of the largest) and with repeated block values."""
+    rng = np.random.default_rng(8)
+    for count in range(200):
+        d = 2 + count % 8
+        g = rng.standard_normal((d, d))
+        yield g - g.T
+    for d in (16, 64):
+        g = rng.standard_normal((d, d))
+        yield g - g.T
+    near_cutoff = [1.0, 0.5, 1e-9, 1e-10, 1e-11, 2e-12]
+    for d in (12, 13, 16, 64):
+        for scale in (1.0, 3.0):
+            yield skew_from_blocks(scale * np.array(near_cutoff), d, rng)
+    for d, values in [(5, [0.4, 0.4]), (9, [0.3, 0.3, 0.3, 0.1]), (16, [0.25] * 3 + [0.1] * 2),
+                      (64, [0.2] * 10 + [0.05] * 10 + [1e-10] * 4)]:
+        yield skew_from_blocks(values, d, rng)
 
 
 class TestPartialTrace:
@@ -77,7 +48,7 @@ class TestPartialTrace:
         rng = np.random.default_rng(3)
         rho = random_hermitian(3, rng)
         sigma = random_hermitian(4, rng)
-        out = linalg.partial_trace(linalg.tensor(rho, sigma), [3, 4], {0})
+        out = linalg.partial_trace(np.kron(rho, sigma), [3, 4], {0})
         np.testing.assert_allclose(out, rho * np.trace(sigma), atol=1e-13)
 
     def test_identity(self):
@@ -124,6 +95,10 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.hermitian_eig(np.array([[0, 1], [0, 0]]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.hermitian_eig(np.array([[np.nan, 0], [0, 1]]))
 
 
 class TestTraceNorm:
@@ -222,12 +197,8 @@ class TestSkewCanonical:
         np.testing.assert_allclose(form.reconstruct(), rho.imag, atol=1e-12)
 
     def test_random_reconstruction_sweep(self):
-        rng = np.random.default_rng(8)
-        count = 0
-        while count < 200:
-            d = 2 + count % 8
-            g = rng.standard_normal((d, d))
-            a = g - g.T
+        for a in skew_sweep_inputs():
+            d = a.shape[0]
             form = linalg.skew_canonical(a)
             assert np.max(np.abs(form.reconstruct() - a)) <= 1e-10
             o = form.orthogonal
@@ -235,7 +206,6 @@ class TestSkewCanonical:
             assert np.all(np.diff(form.block_values) <= 1e-14)
             assert abs(2 * np.sum(form.block_values) - linalg.trace_norm(1j * a)) <= 1e-10
             assert form.residual_dim == d % 2
-            count += 1
 
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError, match="skew"):

@@ -100,6 +100,27 @@ class TestApplyKraus:
             rhs = realops.apply_kraus(k, align, rho).matrix.conj()
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
+    def test_general_real_kraus_sets_match_operator_sum(self):
+        # Dense sets: the 0/1 family rotated by a random orthogonal Q, and a
+        # random isometry cut into three-row operators.
+        rng = np.random.default_rng(21)
+        for d in (2, 3, 6, 9):
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            w, _ = np.linalg.qr(rng.standard_normal((3 * d, d)))
+            sets = [
+                realops.RealKrausSet(d, 2, tuple(k @ q for k in realops.build_kraus(d).operators)),
+                realops.RealKrausSet(d, 3, tuple(w.reshape(d, 3, d))),
+            ]
+            rho = states.gen_random_density(d, d)
+            align = realops.align_for_state(rho)
+            sigma = align @ rho.matrix @ align.T
+            for kraus in sets:
+                expected = sum(k @ sigma @ k.T for k in kraus.operators)
+                out = realops.apply_kraus(kraus, align, rho).matrix
+                assert np.max(np.abs(out - expected)) <= 1e-12
+                via_dilation = realops.apply_dilation(realops.dilate(kraus), align, rho).matrix
+                assert np.max(np.abs(via_dilation - expected)) <= 1e-12
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             realops.apply_kraus(realops.build_kraus(3), None, states.gen_random_density(2, 0))
@@ -155,10 +176,10 @@ class TestDilation:
             assert np.max(np.abs(dil.unitary.T @ dil.unitary - np.eye(n))) <= 1e-12
 
     def test_channel_path_equality(self):
-        for d in [2, 3, 4, 5, 6, 8]:
+        for d in [2, 3, 4, 5, 6, 8, 17, 64, 256]:
             k = realops.build_kraus(d)
             dil = realops.dilate(k)
-            for seed in range(25):
+            for seed in range(25 if d <= 64 else 1):
                 rho = states.gen_random_density(d, 1000 * d + seed)
                 align = realops.align_for_state(rho)
                 via_kraus = realops.apply_kraus(k, align, rho)
