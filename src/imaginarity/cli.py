@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> list:
             )
         resource = realops.convert_to_plus_hat(rho).output
     inst = builder(resource=resource)
-    verification = gatesim.verify_instance(inst, tolerance=1e-10, seed=args.seed)
+    verification = gatesim.verify_instance(inst, tolerance=1e-10)
     hs = gatesim.hs_consistency(inst, seed=args.seed)
     return [
         {

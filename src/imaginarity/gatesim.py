@@ -12,7 +12,8 @@ this module follows it.
 The universal quantifier over |psi> reduces to a finite probe family:
 both sides are linear in |psi><psi|, and the basis vectors together with
 the real and imaginary pairwise superpositions span all Hermitian
-matrices.  Seeded random probes are added as a safety net.
+matrices, so these n^2 spanning probes are an exact certificate.  They are
+computed from the images of the matrix units |j><k| in one contraction.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .measures import UNIVERSAL, ClassificationReport, classify
-from .states import DensityMatrix, PureState, basis_state, from_pure, plus_i
+from .states import DensityMatrix, PureState, from_pure, plus_i
 from .realops import ConversionResult, convert_to_plus_hat
 
 # --- gate library (computational basis) ------------------------------------
@@ -118,21 +118,16 @@ def _check_instance(inst: SimulationInstance) -> None:
         raise ValueError("target matrix is not unitary")
 
 
-def _probe_family(n: int, random_probes: int, seed: int) -> list:
-    probes = [np.eye(n, dtype=complex)[:, j] for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            e = np.zeros(n, dtype=complex)
-            f = np.zeros(n, dtype=complex)
-            e[j] = 1.0
-            f[k] = 1.0
-            probes.append((e + f) / np.sqrt(2.0))
-            probes.append((e + 1j * f) / np.sqrt(2.0))
-    rng = np.random.default_rng(seed)
-    for _ in range(random_probes):
-        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probes.append(psi / np.linalg.norm(psi))
-    return probes
+def _pair_probes(m_pp, m_qq, m_qp):
+    """Images of (|p>+|q>)/sqrt2 and (|p>+i|q>)/sqrt2 under a linear map.
+
+    Takes the images of |p><p|, |q><q| and |q><p|; the map must preserve
+    Hermiticity, so that the image of |p><q| is the adjoint of that of
+    |q><p|.  Broadcasts over leading axes.
+    """
+    m_pq = np.swapaxes(m_qp.conj(), -1, -2)
+    base = m_pp + m_qq
+    return 0.5 * (base + m_pq + m_qp), 0.5 * (base - 1j * m_pq + 1j * m_qp)
 
 
 @dataclass(frozen=True)
@@ -155,38 +150,59 @@ class VerificationReport:
         }
 
 
-def verify_instance(
-    inst: SimulationInstance,
-    tolerance: float = 1e-10,
-    random_probes: int = 50,
-    seed: int = 0,
-) -> VerificationReport:
-    """Evaluate both sides of the simulation equation on the probe family.
+def verify_instance(inst: SimulationInstance, tolerance: float = 1e-10) -> VerificationReport:
+    """Evaluate both sides of the simulation equation on the spanning probes.
 
-    Also extracts the residual resource state per probe (partial trace over
-    ancilla and data) for the residual-independence check.
+    The probes are the n basis vectors |j> and, for every pair j < k, the
+    superpositions (|j>+|k>)/sqrt2 and (|j>+i|k>)/sqrt2, in that order:
+    `probe_count` is n^2.  Both sides are computed once on the matrix units
+    |j><k| and combined linearly into the probes.  `max_deviation` is the
+    largest entrywise deviation over all probes.  `residuals` holds, per
+    probe, the resource state left after tracing out ancilla and data, for
+    the residual-independence check.
     """
     _check_instance(inst)
     u = inst.unitary
-    anc = from_pure(basis_state(inst.ancilla_dim)).matrix
-    out_anc = from_pure(inst.out_ancilla).matrix
-    left_in = np.kron(inst.resource.matrix, anc)
-    left_out = np.kron(inst.residual.matrix, out_anc)
+    big, n, r = u.shape[0], inst.data_dim, inst.residual.dim
+    # lhs_jk = U (rho (x) |0><0| (x) |j><k|) U^dag = u_rho[j] @ u_dag[k]: the
+    # input ancilla selects the columns of U with ancilla index 0.
+    cols = u.reshape(big, inst.resource.dim, inst.ancilla_dim, n)[:, :, 0, :]
+    u_rho = np.moveaxis(cols, 2, 0) @ inst.resource.matrix
+    u_dag = cols.conj().transpose(2, 1, 0)
+    # rhs_jk = rho' (x) |0'><0'| (x) V|j><k|V^dag
+    phi = inst.out_ancilla.amplitudes
+    out_state = np.kron(inst.residual.matrix, np.outer(phi, phi.conj()))
+    v = inst.target
 
+    # Row j computes the units |j><k| for k <= j only; both states are
+    # Hermitian, so the images of |k><j| are the adjoints.  Besides the
+    # diagonal, one row of N x N images is alive at a time.
+    diag = np.empty((n, big, big), dtype=complex)
+    reduced = np.empty((n, n, r, r), dtype=complex)  # Tr_anc,data[lhs_jk], k <= j
     max_dev = 0.0
-    residuals = []
-    out_dims = [inst.residual.dim, inst.out_ancilla.dim, inst.data_dim]
-    for psi in _probe_family(inst.data_dim, random_probes, seed):
-        proj = np.outer(psi, psi.conj())
-        lhs = u @ np.kron(left_in, proj) @ u.conj().T
-        vpsi = inst.target @ psi
-        rhs = np.kron(left_out, np.outer(vpsi, vpsi.conj()))
-        max_dev = max(max_dev, float(np.max(np.abs(lhs - rhs))))
-        residuals.append(linalg.partial_trace(lhs, out_dims, keep={0}))
+    for j in range(n):
+        lhs = u_rho[j] @ u_dag[: j + 1]
+        rhs = np.einsum("ab,p,ks->kapbs", out_state, v[:, j], v[:, : j + 1].conj().T)
+        dev = lhs - rhs.reshape(lhs.shape)
+        diag[j] = dev[j]
+        max_dev = max(max_dev, float(np.max(np.abs(dev[j]))))
+        if j:
+            for probe in _pair_probes(diag[:j], dev[j], dev[:j]):
+                max_dev = max(max_dev, float(np.max(np.abs(probe))))
+        reduced[j, : j + 1] = np.trace(
+            lhs.reshape(j + 1, r, big // r, r, big // r), axis1=2, axis2=4
+        )
+
+    p, q = np.triu_indices(n, 1)
+    pair_real, pair_imag = _pair_probes(reduced[p, p], reduced[q, q], reduced[q, p])
+    residuals = np.concatenate(
+        [reduced[np.arange(n), np.arange(n)],
+         np.stack([pair_real, pair_imag], axis=1).reshape(-1, r, r)]
+    )
     return VerificationReport(
         holds=max_dev <= tolerance,
         max_deviation=max_dev,
-        probe_count=len(residuals),
+        probe_count=n * n,
         residuals=tuple(residuals),
     )
 
@@ -371,7 +387,7 @@ class PipelineResult:
     gadget_verified: Optional[bool]
 
 
-def theorem1_pipeline(rho: DensityMatrix, seed: int = 0, tolerance: float = 1e-9) -> PipelineResult:
+def theorem1_pipeline(rho: DensityMatrix, tolerance: float = 1e-9) -> PipelineResult:
     """Classify, convert and (for universal resources) run the S gadget.
 
     Universal inputs are converted to |+i><+i| at fidelity 1 and plugged
@@ -384,6 +400,6 @@ def theorem1_pipeline(rho: DensityMatrix, seed: int = 0, tolerance: float = 1e-9
         return PipelineResult(report, best_fidelity, None, None)
     conversion = convert_to_plus_hat(rho)
     inst = s_gadget(resource=conversion.output)
-    verification = verify_instance(inst, tolerance=max(tolerance, 1e-10), seed=seed)
+    verification = verify_instance(inst, tolerance=max(tolerance, 1e-10))
     verified = verification.holds and verification.residual_uniform(max(tolerance, 1e-10))
     return PipelineResult(report, best_fidelity, conversion, verified)

@@ -22,7 +22,6 @@ from . import linalg
 from .states import DensityMatrix, from_pure, plus_i
 
 COMPLETENESS_TOL = 1e-12
-KRAUS_REALITY_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -193,9 +192,9 @@ def apply_dilation(dilation: RealDilation, align, rho: DensityMatrix) -> Density
         raise ValueError(f"state dimension {rho.dim} != dilation input dimension {d}")
     o = np.eye(d) if align is None else np.asarray(align, dtype=float)
     # The input occupies the first d coordinates and the padding is zero,
-    # so only the first d columns of the unitary act.
+    # so only the first d columns of the unitary act.  Only the reduced
+    # block of v rho v^T is formed: rows (o, m) summed over m.
     v = dilation.unitary[:, :d] @ o
-    evolved = v @ rho.matrix @ v.T
-    out_dim = total // dilation.env_dim
-    reduced = linalg.partial_trace(evolved, [out_dim, dilation.env_dim], keep={0})
-    return DensityMatrix(reduced)
+    shape = (total // dilation.env_dim, dilation.env_dim, d)
+    left = (v @ rho.matrix).reshape(shape)
+    return DensityMatrix(np.einsum("omk,pmk->op", left, v.reshape(shape)))

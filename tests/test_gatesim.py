@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from imaginarity import gatesim, measures, realops, states
+from imaginarity import gatesim, linalg, measures, realops, states
 from imaginarity.gatesim import (
     CS,
     CZ,
@@ -57,7 +59,93 @@ class TestGateLibrary:
         np.testing.assert_allclose(GDG @ plus_i, 1j * plus_i, atol=1e-15)
 
 
+def probe_loop(inst):
+    """Reference verifier: one dense kron and one partial trace per spanning probe."""
+    n = inst.data_dim
+    eye = np.eye(n, dtype=complex)
+    probes = [eye[j] for j in range(n)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            probes += [(eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)]
+    anc = states.from_pure(states.basis_state(inst.ancilla_dim)).matrix
+    left_in = np.kron(inst.resource.matrix, anc)
+    left_out = np.kron(inst.residual.matrix, states.from_pure(inst.out_ancilla).matrix)
+    dims = [inst.residual.dim, inst.out_ancilla.dim, n]
+    max_dev, residuals = 0.0, []
+    for psi in probes:
+        lhs = inst.unitary @ np.kron(left_in, np.outer(psi, psi.conj())) @ inst.unitary.conj().T
+        vpsi = inst.target @ psi
+        rhs = np.kron(left_out, np.outer(vpsi, vpsi.conj()))
+        max_dev = max(max_dev, float(np.max(np.abs(lhs - rhs))))
+        residuals.append(linalg.partial_trace(lhs, dims, keep={0}))
+    return max_dev, residuals
+
+
+def oracle_instances():
+    """Random real targets spoiled by small phases, one with a 2-dim ancilla,
+    entangling instances, and the gadgets."""
+    rng = np.random.default_rng(17)
+    out = []
+    for i in range(30):
+        n, d = 2 + i % 5, 2 + i % 3
+        od, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        orr, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        inst = real_target_instance(states.gen_random_density(d, 300 + i), od, orr)
+        phases = np.exp(1j * rng.uniform(-0.3, 0.3, n))
+        out.append(dataclasses.replace(inst, target=od * phases))
+    # ancilla |0> -> |w>: U = O_r (x) R (x) O_d with R real orthogonal, R|0> = w
+    rot = gatesim.ry(1.1).real
+    od, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    rho = states.gen_random_density(2, 7)
+    out.append(
+        SimulationInstance(
+            unitary=np.kron(np.kron(H.real, rot), od).astype(complex),
+            resource=rho,
+            ancilla_dim=2,
+            target=od * np.exp(1j * rng.uniform(-0.3, 0.3, 3)),
+            residual=DensityMatrix(H @ rho.matrix @ H),
+            out_ancilla=states.PureState(rot[:, 0].astype(complex)),
+        )
+    )
+    # entangling U: the residual depends on the probe, so its order and signs matter
+    for n, d in ((2, 2), (3, 2), (2, 3)):
+        u, _ = np.linalg.qr(rng.standard_normal((n * d, n * d)))
+        rho = states.gen_random_density(d, n + 10 * d)
+        out.append(
+            SimulationInstance(
+                unitary=u.astype(complex),
+                resource=rho,
+                ancilla_dim=1,
+                target=random_unitary(n, rng),
+                residual=rho,
+                out_ancilla=states.basis_state(1),
+            )
+        )
+    base = cs_gadget()
+    out += [
+        s_gadget(),
+        base,
+        dataclasses.replace(base, unitary=base.unitary @ base.unitary, target=CZ),
+    ]
+    return out
+
+
 class TestVerifyInstance:
+    def test_matches_per_probe_loop(self):
+        deviations = []
+        for inst in oracle_instances():
+            n = inst.data_dim
+            max_dev, residuals = probe_loop(inst)
+            report = verify_instance(inst)
+            assert len(report.residuals) == report.probe_count == n * n
+            assert report.holds == (max_dev <= 1e-10)
+            assert abs(report.max_deviation - max_dev) <= 1e-14
+            for got, want in zip(report.residuals, residuals):
+                assert np.max(np.abs(got - want)) <= 1e-14
+            deviations.append(max_dev)
+        # the spoiled targets keep the comparison away from zero
+        assert sum(dev > 1e-3 for dev in deviations) >= 30
+
     def test_factorized_real_targets_hold(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
@@ -83,6 +171,15 @@ class TestVerifyInstance:
             residual=base.residual,
             out_ancilla=base.out_ancilla,
         )
+        report = verify_instance(wrong)
+        assert not report.holds
+        assert report.max_deviation > 0.1
+
+    def test_wrong_cs_target_phase_fails(self):
+        # CZ @ CS differs from CS only by relative phases between basis
+        # states, so only the off-diagonal matrix units see the error.
+        wrong = dataclasses.replace(cs_gadget(), target=CZ @ CS)
+        assert probe_loop(wrong)[0] > 0.1
         report = verify_instance(wrong)
         assert not report.holds
         assert report.max_deviation > 0.1
