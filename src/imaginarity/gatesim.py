@@ -109,6 +109,11 @@ def _check_instance(inst: SimulationInstance) -> None:
         )
     if inst.residual.dim * inst.out_ancilla.dim * inst.data_dim != n:
         raise ValueError("output-side dimensions inconsistent with the unitary")
+    # A NaN fails every `>` test below, so it would pass them unnoticed.
+    if not np.all(np.isfinite(u)):
+        raise ValueError("instance unitary contains non-finite entries")
+    if not np.all(np.isfinite(inst.target)):
+        raise ValueError("target matrix contains non-finite entries")
     if np.max(np.abs(u.imag)) > ORTHOGONALITY_TOL:
         raise ValueError("instance unitary must be real")
     if np.max(np.abs(u.real.T @ u.real - np.eye(n))) > ORTHOGONALITY_TOL:
@@ -179,16 +184,18 @@ def verify_instance(inst: SimulationInstance, tolerance: float = 1e-10) -> Verif
     # diagonal, one row of N x N images is alive at a time.
     diag = np.empty((n, big, big), dtype=complex)
     reduced = np.empty((n, n, r, r), dtype=complex)  # Tr_anc,data[lhs_jk], k <= j
-    max_dev = 0.0
+    # Per-probe maxima, reduced by np.max so that a NaN deviation propagates
+    # (Python's max(0.0, nan) is 0.0).
+    devs = []
     for j in range(n):
         lhs = u_rho[j] @ u_dag[: j + 1]
         rhs = np.einsum("ab,p,ks->kapbs", out_state, v[:, j], v[:, : j + 1].conj().T)
         dev = lhs - rhs.reshape(lhs.shape)
         diag[j] = dev[j]
-        max_dev = max(max_dev, float(np.max(np.abs(dev[j]))))
+        devs.append(np.max(np.abs(dev[j])))
         if j:
             for probe in _pair_probes(diag[:j], dev[j], dev[:j]):
-                max_dev = max(max_dev, float(np.max(np.abs(probe))))
+                devs.append(np.max(np.abs(probe)))
         reduced[j, : j + 1] = np.trace(
             lhs.reshape(j + 1, r, big // r, r, big // r), axis1=2, axis2=4
         )
@@ -199,6 +206,7 @@ def verify_instance(inst: SimulationInstance, tolerance: float = 1e-10) -> Verif
         [reduced[np.arange(n), np.arange(n)],
          np.stack([pair_real, pair_imag], axis=1).reshape(-1, r, r)]
     )
+    max_dev = float(np.max(devs))
     return VerificationReport(
         holds=max_dev <= tolerance,
         max_deviation=max_dev,
@@ -271,7 +279,7 @@ def phase_rigidity(v, tolerance: float = 1e-10) -> PhaseRigidityResult:
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
-    if np.max(np.abs(v.conj().T @ v - np.eye(n))) > UNITARITY_TOL:
+    if not np.max(np.abs(v.conj().T @ v - np.eye(n))) <= UNITARITY_TOL:  # NaN fails too
         raise ValueError("input matrix is not unitary")
     w = v.T @ v
     off = w - np.diag(np.diag(w))

@@ -2,9 +2,11 @@
 
 Plain numpy (complex128) throughout.  All functions are pure: inputs are
 never mutated and there is no global state, so everything here is safe to
-share across threads.  Storage is dense and the decompositions (eigh, QR,
-SVD) cost O(d^3), which suits dimensions up to a few hundred; the
-benchmark runs them at d = 512.
+share across threads.  Storage is dense and the decompositions (eigh and
+QR) cost O(d^3), which suits dimensions up to a few hundred; the
+benchmark runs them at d = 512.  The package takes one skew canonical
+form per state (see `states.DensityMatrix.imag_canonical`), from which
+the imaginarity trace norm and the optimal alignment are both read.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     The completion is the trailing columns of a complete QR factorization
     of the input, which makes it deterministic.  The input columns are
-    reproduced bitwise in the output.
+    reproduced bitwise in the output.  A square input (k = n) is already
+    complete: once validated it is returned as is, with no factorization.
     """
     c = _as_matrix(columns, "columns")
     q = _require_real(c, "columns")
@@ -106,6 +109,8 @@ def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
     gram_dev = np.max(np.abs(q.T @ q - np.eye(k)), initial=0.0)
     if gram_dev > tol:
         raise ValueError(f"input columns are not orthonormal (max deviation {gram_dev:.3e})")
+    if k == n:
+        return q
 
     out, _ = np.linalg.qr(q, mode="complete")
     out[:, :k] = q

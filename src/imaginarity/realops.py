@@ -43,7 +43,7 @@ class RealKrausSet:
             )
         stacked = ops.reshape(-1, self.in_dim)
         dev = np.max(np.abs(stacked.T @ stacked - np.eye(self.in_dim)))
-        if dev > COMPLETENESS_TOL:
+        if not dev <= COMPLETENESS_TOL:  # NaN fails too
             raise ValueError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
         ops.setflags(write=False)
         object.__setattr__(self, "operators", tuple(ops))
@@ -114,9 +114,10 @@ def align_for_state(rho: DensityMatrix) -> np.ndarray:
 
     Canonicalizes Im(rho) into 2x2 blocks and orients each block so that it
     contributes +a_m to <+i| Lambda[O rho O^T] |+i|>, which sums to the
-    optimum 1/2 + ||rho - rho*||_1 / 4.
+    optimum 1/2 + ||rho - rho*||_1 / 4.  The canonical form is the state's
+    cached one, shared with `measures.imaginarity_trace_norm`.
     """
-    form = linalg.skew_canonical(rho.matrix.imag)
+    form = rho.imag_canonical
     o = form.orthogonal.copy()
     for m in range(len(form.block_values)):
         o[[2 * m, 2 * m + 1]] = o[[2 * m + 1, 2 * m]]

@@ -2,7 +2,13 @@
 
 State objects validate their invariants at construction and are immutable
 afterwards; constructors reject violations instead of renormalizing, so
-drift in downstream channel code surfaces immediately.
+drift in downstream channel code surfaces immediately.  Positive
+semidefiniteness is tested by a Cholesky factorization of the matrix
+shifted by PSD_TOL * I, which succeeds exactly when the smallest
+eigenvalue exceeds -PSD_TOL (up to rounding of order d * eps); the full
+spectrum is computed only to report a rejection.  A density matrix also
+carries the 2x2-block canonical form of its Im(rho), computed once on
+first use, which every measure and the optimal alignment read.
 
 All randomness goes through ``numpy.random.default_rng`` (PCG64, 64-bit
 seedable); every stochastic generator takes an explicit seed.
@@ -17,8 +23,11 @@ Canonical JSON formats (used by the CLI and all serializers):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from . import linalg
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -43,7 +52,11 @@ def _freeze(obj, field: str, value: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace complex matrix."""
+    """Hermitian, positive-semidefinite, unit-trace complex matrix.
+
+    Accepted when the Cholesky factorization of (m + m^dag)/2 + PSD_TOL * I
+    exists, i.e. when the smallest eigenvalue lies above -PSD_TOL.
+    """
 
     matrix: np.ndarray
 
@@ -59,10 +72,27 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise StateValidationError(f"trace is {tr}, expected 1")
-        min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
-        if min_eig < -PSD_TOL:
-            raise StateValidationError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        h = (m + m.conj().T) / 2
+        try:
+            np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[0]))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.min(np.linalg.eigvalsh(h)))
+            raise StateValidationError(
+                f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
+            ) from None
         _freeze(self, "matrix", m)
+
+    @cached_property
+    def imag_canonical(self) -> linalg.SkewCanonicalForm:
+        """Canonical 2x2-block form of the real skew-symmetric Im(rho).
+
+        Computed on first use and shared by every later reader; the arrays
+        are read-only, like the matrix they come from.
+        """
+        form = linalg.skew_canonical(self.matrix.imag)
+        form.block_values.setflags(write=False)
+        form.orthogonal.setflags(write=False)
+        return form
 
     @property
     def dim(self) -> int:

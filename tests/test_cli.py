@@ -5,6 +5,7 @@ import pytest
 
 from imaginarity import states
 from imaginarity.cli import (
+    EXIT_INTERNAL,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_PARSE,
@@ -181,6 +182,13 @@ class TestRigidity:
         code, lines = run(capsys, "rigidity", path)
         assert code == EXIT_OK
         assert not lines[0]["is_phase_multiple_of_identity"]
+
+    def test_nan_entry_is_not_unitary_exit_1(self, capsys, tmp_path):
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        h[0, 1] = np.nan
+        path = self.write_matrix(tmp_path / "nan.json", h.astype(complex))
+        assert main(["rigidity", path]) == EXIT_INTERNAL
+        assert capsys.readouterr().out == ""
 
     def test_global_phase(self, capsys, tmp_path):
         path = self.write_matrix(tmp_path / "p.json", np.exp(1j * np.pi / 4) * np.eye(2))

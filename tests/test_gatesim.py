@@ -197,6 +197,20 @@ class TestVerifyInstance:
         with pytest.raises(ValueError, match="orthogonal"):
             verify_instance(bad)
 
+    def test_rejects_nan_in_unitary(self):
+        base = s_gadget()
+        u = base.unitary.copy()
+        u[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_instance(dataclasses.replace(base, unitary=u))
+
+    def test_rejects_nan_in_target(self):
+        base = s_gadget()
+        v = base.target.copy()
+        v[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            verify_instance(dataclasses.replace(base, target=v))
+
     def test_rejects_dimension_mismatch(self):
         base = s_gadget()
         bad = SimulationInstance(
@@ -294,8 +308,9 @@ class TestPhaseRigidity:
         np.testing.assert_allclose(res.gram, np.diag([1, -1]), atol=1e-14)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            phase_rigidity(np.eye(2) * 0.5)
+        for bad in (np.eye(2) * 0.5, np.array([[np.nan, 0.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="unitary"):
+                phase_rigidity(bad)
 
     def test_soundness_against_sampling_oracle(self):
         rng = np.random.default_rng(9)
@@ -411,6 +426,21 @@ class TestPipeline:
             expected = 0.5 + measures.imaginarity_trace_norm(rho) / 4
             assert abs(result.best_fidelity - expected) <= 1e-12
             assert result.best_fidelity < 1
+
+    def test_one_canonical_form_per_state(self, monkeypatch):
+        calls = []
+        original = linalg.skew_canonical
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "skew_canonical", counting)
+        for rho in (states.gen_max_imaginary(8, 3, 4), states.gen_random_density(8, 4)):
+            calls.clear()
+            theorem1_pipeline(rho)
+            realops.convert_to_plus_hat(rho)
+            assert calls == [(8, 8)]
 
     def test_gadget_serialization(self):
         obj = s_gadget().to_json()

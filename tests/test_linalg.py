@@ -162,8 +162,10 @@ class TestOrthonormalComplete:
             linalg.orthonormal_complete(np.array([[1j], [0]]))
 
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            linalg.orthonormal_complete(np.array([[1.0], [1.0]]))
+        # a square input is returned without a factorization, but still checked
+        for bad in (np.array([[1.0], [1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])):
+            with pytest.raises(ValueError, match="orthonormal"):
+                linalg.orthonormal_complete(bad)
 
 
 class TestSkewCanonical:

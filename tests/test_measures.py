@@ -68,6 +68,22 @@ class TestMeasureTriple:
             assert abs(report.imag_fidelity - 0.5 - report.imag_trace_norm / 4) <= 1e-12
             assert abs(report.robustness - report.imag_trace_norm / 2) <= 1e-12
 
+    def test_trace_norm_matches_nuclear_norm(self):
+        # rho - rho* = 2i Im(rho): the trace norm is twice the SVD nuclear norm.
+        def near_threshold(dim, seed):
+            sigma = states.gen_max_imaginary(dim, 1, seed).matrix
+            p = 4.5e-10 * dim  # tr[rho rho*] ~ 2p/dim = 9e-10
+            return DensityMatrix((1 - p) * sigma + p * np.eye(dim) / dim)
+
+        for dim in (2, 3, 8, 17, 64, 256):
+            for rho in (
+                states.gen_random_density(dim, dim),
+                states.gen_max_imaginary(max(dim, 2), max(1, dim // 3), dim),
+                near_threshold(dim, dim),
+            ):
+                expected = 2 * np.linalg.norm(rho.matrix.imag, "nuc")
+                assert abs(measures.imaginarity_trace_norm(rho) - expected) <= 1e-12
+
 
 class TestClassify:
     def test_plus_i_universal(self):

@@ -37,6 +37,12 @@ class TestBuildKraus:
         with pytest.raises(ValueError, match="trace preserving"):
             realops.RealKrausSet(in_dim=2, out_dim=2, operators=(np.eye(2) * 0.5,))
 
+    def test_non_finite_operator_rejected(self):
+        obj = realops.build_kraus(4).to_json()
+        obj["operators"][0][1][0] = float("nan")
+        with pytest.raises(ValueError, match="trace preserving"):
+            realops.RealKrausSet.from_json(json.loads(json.dumps(obj)))
+
 
 class TestAlignment:
     def test_plus_i_reaches_fidelity_one(self):

@@ -23,6 +23,21 @@ class TestValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]))
+        # Either side of the -PSD_TOL boundary, in a random complex basis.
+        rng = np.random.default_rng(3)
+        for d in (2, 16, 256):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, _ = np.linalg.qr(g)
+            for factor, accepted in ((-0.5, True), (-2.0, False)):
+                low = factor * states.PSD_TOL
+                eigs = np.concatenate([[low], np.full(d - 1, (1.0 - low) / (d - 1))])
+                m = (q * eigs) @ q.conj().T
+                if accepted:
+                    DensityMatrix(m)
+                    continue
+                with pytest.raises(StateValidationError, match="positive semidefinite") as err:
+                    DensityMatrix(m)
+                assert f"min eigenvalue {low:.3e}" in str(err.value)
 
     def test_rejects_unnormalized_pure(self):
         with pytest.raises(StateValidationError, match="norm"):
