@@ -7,6 +7,14 @@ QR) cost O(d^3), which suits dimensions up to a few hundred; the
 benchmark runs them at d = 512.  The package takes one skew canonical
 form per state (see `states.DensityMatrix.imag_canonical`), from which
 the imaginarity trace norm and the optimal alignment are both read.
+
+`skew_canonical` takes that form from one real symmetric eigensolve of
+A^T A, which separates distinct block values.  Only clusters of repeated
+or near-repeated values, and values too small for the squared problem to
+resolve (below about sqrt(eps) times the largest), go through a complex
+Hermitian eigensolve and a complete QR, each at the size of its cluster.
+The worst case is one cluster spanning the whole matrix (all values
+equal), which pays both eigensolves at full size.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):  # complex isfinite tests both parts
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -71,26 +79,33 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return t.reshape(kept, kept)
 
 
+def _hermitian_part(m, tol: float) -> np.ndarray:
+    """(m + m^dag) / 2 for a square m within `tol` of Hermitian."""
+    m = _as_matrix(m)
+    _require_square(m)
+    dev = np.max(np.abs(m - m.conj().T), initial=0.0)
+    if dev > tol:
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+    return (m + m.conj().T) / 2
+
+
 def hermitian_eig(m, tol: float = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted
     descending, eigenvectors as columns.
     """
-    m = _as_matrix(m)
-    _require_square(m)
-    dev = np.max(np.abs(m - m.conj().T), initial=0.0)
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w, v = np.linalg.eigh(_hermitian_part(m, tol))
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 
 
 def trace_norm(m, tol: float = DEFAULT_TOL) -> float:
-    """Schatten 1-norm of a Hermitian matrix: sum of |eigenvalues|."""
-    w, _ = hermitian_eig(m, tol=tol)
-    return float(np.sum(np.abs(w)))
+    """Schatten 1-norm of a Hermitian matrix: sum of |eigenvalues|.
+
+    Only the eigenvalues are computed, no eigenvectors.
+    """
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(m, tol)))))
 
 
 def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -140,14 +155,57 @@ class SkewCanonicalForm:
         return self.orthogonal.T @ canon @ self.orthogonal
 
 
+def _dense_canonical(t: np.ndarray, cutoff: float):
+    """Block values above `cutoff` and orthogonal rows for skew matrix t.
+
+    Eigenvalues of the Hermitian i*t come in pairs +/- a_m, and the real
+    and imaginary parts of an eigenvector for +a_m span an invariant
+    2-plane carrying the block a_m * [[0, -1], [1, 0]].  One complete QR
+    factorization orthonormalizes these Re/Im columns and completes them.
+    """
+    w, v = np.linalg.eigh(1j * t)
+    pos = np.argsort(w)[::-1]
+    pos = pos[w[pos] > cutoff]
+    vecs = np.sqrt(2.0) * v[:, pos]
+    paired = np.empty((t.shape[0], 2 * len(pos)))
+    paired[:, 0::2] = vecs.real
+    paired[:, 1::2] = vecs.imag
+
+    # Raw eigenvectors lose orthogonality near the cutoff; QR restores it.
+    # Signs from diag(R) keep each column pointing along its input column.
+    full, r = np.linalg.qr(paired, mode="complete")
+    full[:, : paired.shape[1]] *= np.where(np.diag(r) < 0, -1.0, 1.0)
+    return w[pos], full.T
+
+
 def skew_canonical(a, tol: float = DEFAULT_TOL) -> SkewCanonicalForm:
     """Canonical 2x2-block form of a real skew-symmetric matrix.
 
-    Computed through the Hermitian eigendecomposition of iA: eigenvalues
-    come in pairs +/- a_m, and the real and imaginary parts of an
-    eigenvector for +a_m span an invariant 2-plane carrying the block
-    a_m * [[0, -1], [1, 0]].  One complete QR factorization orthonormalizes
-    these Re/Im columns and completes them.
+    Computed from one real symmetric eigendecomposition of A^T A = -A^2,
+    whose eigenvalues are the a_m^2, each twice.  In the eigenbasis Q,
+    sorted descending, T = Q^T A Q is block diagonal up to rounding.
+    Block values at or below the cutoff 1e-12 * max(1, a_max) count as
+    zero.  The indices split into contiguous clusters, cut wherever no
+    entry of T couples the two sides above cutoff / d, so the couplings
+    dropped by all cuts together have Frobenius norm at most the cutoff.
+    (A cut at the cutoff itself can split a block just above it that is
+    spread thinly over many indices.)
+
+    * A cluster of two carries the block |T[s+1, s]|, oriented by swapping
+      its two rows when T[s+1, s] < 0.  A cluster of one is kernel.
+    * A larger cluster whose T_c has Frobenius norm at most the cutoff is
+      kernel too: all its values lie below the cutoff.
+    * Any other cluster holds repeated or near-repeated values, or values
+      below about sqrt(eps) * a_max that A^T A cannot resolve.  Its T_c is
+      put in canonical form through the Hermitian eigendecomposition of
+      iT_c and a complete QR, and composed with its rows of Q^T.
+
+    Blocks above the cutoff are stably sorted by value, largest first; the
+    zero rows follow.  A well-separated spectrum costs one real eigh and
+    three matrix products.  The worst case is one cluster spanning the
+    whole matrix (all a_m equal, as for an equal-weight mixture of d/2
+    maximally imaginary pure states), which pays the complex eigh and QR
+    on top of the real eigh.
     """
     m = _as_matrix(a)
     _require_square(m)
@@ -158,23 +216,36 @@ def skew_canonical(a, tol: float = DEFAULT_TOL) -> SkewCanonicalForm:
     A = (A - A.T) / 2
     d = A.shape[0]
 
-    w, v = np.linalg.eigh(1j * A)
-    cutoff = 1e-12 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
-    pos = np.argsort(w)[::-1]
-    pos = pos[w[pos] > cutoff]
-    vecs = np.sqrt(2.0) * v[:, pos]
-    paired = np.empty((d, 2 * len(pos)))
-    paired[:, 0::2] = vecs.real
-    paired[:, 1::2] = vecs.imag
+    g, q = np.linalg.eigh(A.T @ A)
+    q = q[:, ::-1]
+    cutoff = 1e-12 * max(1.0, float(np.sqrt(np.max(g, initial=0.0))))
+    t = q.T @ A @ q
+    o = q.T  # rows of the result; the cluster step rewrites its own rows
 
-    # Raw eigenvectors lose orthogonality near the cutoff; QR restores it.
-    # Signs from diag(R) keep each column pointing along its input column.
-    full, r = np.linalg.qr(paired, mode="complete")
-    full[:, : paired.shape[1]] *= np.where(np.diag(r) < 0, -1.0, 1.0)
-    n_zero_blocks = (d - paired.shape[1]) // 2
-    block_values = np.concatenate([w[pos], np.zeros(n_zero_blocks)])
+    # coupling[b - 1] = max |t[:b, b:]|, the largest entry across boundary b.
+    # Every entry dropped by a cut is at most cutoff / d, so all of them
+    # together have Frobenius norm at most the cutoff.
+    tail = np.maximum.accumulate(np.abs(t)[:, ::-1], axis=1)[:, ::-1]
+    coupling = np.diagonal(np.maximum.accumulate(tail, axis=0), offset=1)
+    cuts = (np.flatnonzero(d * coupling <= cutoff) + 1).tolist()
+
+    blocks = []  # (value, first row, second row) for each cluster [s, e)
+    for s, e in zip([0] + cuts, cuts + [d]):
+        if e - s == 2:
+            side = float(t[s + 1, s])
+            if abs(side) > cutoff:
+                blocks.append((side, s, s + 1) if side > 0 else (-side, s + 1, s))
+        elif e - s > 2 and np.linalg.norm(t[s:e, s:e]) > cutoff:
+            values, rows = _dense_canonical(t[s:e, s:e], cutoff)
+            o[s:e] = rows @ o[s:e]
+            blocks += [(v, s + 2 * k, s + 2 * k + 1) for k, v in enumerate(values.tolist())]
+
+    blocks.sort(key=lambda b: -b[0])  # stable: ties keep their order
+    top = [r for _, first, second in blocks for r in (first, second)]
+    rest = np.ones(d, dtype=bool)
+    rest[top] = False
     return SkewCanonicalForm(
-        block_values=block_values,
-        orthogonal=full.T,
+        block_values=np.array([b[0] for b in blocks] + [0.0] * ((d - len(top)) // 2)),
+        orthogonal=o[top + np.flatnonzero(rest).tolist()],
         residual_dim=d % 2,
     )

@@ -104,7 +104,7 @@ def classify_bloch(b, tolerance: float = DEFAULT_VERDICT_TOL) -> str:
         x, y, z = b.x, b.y, b.z
     else:
         x, y, z = (float(c) for c in b)
-        if x * x + y * y + z * z > 1.0 + 1e-10:
+        if not x * x + y * y + z * z <= 1.0 + 1e-10:  # also rejects NaN and inf
             raise ValueError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
     return UNIVERSAL if abs(y) >= 1.0 - tolerance else ZERO
 

@@ -129,7 +129,7 @@ class BlochVector:
 
     def __post_init__(self):
         r2 = self.x**2 + self.y**2 + self.z**2
-        if r2 > 1.0 + BLOCH_TOL:
+        if not r2 <= 1.0 + BLOCH_TOL:  # also rejects NaN and inf
             raise StateValidationError(f"Bloch vector has norm^2 = {r2} > 1")
 
 

@@ -121,6 +121,10 @@ class TestTraceNorm:
         rho = (np.eye(2) + x * paulis[0] + y * paulis[1] + z * paulis[2]) / 2
         assert abs(linalg.trace_norm(rho - rho.conj()) - 2 * abs(y)) <= 1e-14
 
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.trace_norm(np.array([[0, 1], [0, 0]]))
+
     def test_duality_oracle(self):
         # ||m||_1 equals the maximum of |tr[m (2P - I)]| over projectors P
         # onto eigenvector subsets, computed by brute-force enumeration.
@@ -168,7 +172,38 @@ class TestOrthonormalComplete:
                 linalg.orthonormal_complete(bad)
 
 
+def cluster_inputs():
+    """Spectra that the real eigensolve of A^T A cannot split on its own."""
+    rng = np.random.default_rng(9)
+    yield pytest.param(skew_from_blocks([0.25] * 128, 256, rng), id="equal values")
+    for spacing in (1e-6, 1e-9):
+        values = np.concatenate(
+            [0.3 * (1 + spacing * np.arange(12)), [0.2, 0.1], 0.05 * (1 + spacing * np.arange(4))]
+        )
+        yield pytest.param(skew_from_blocks(values, 64, rng), id=f"relative spacing {spacing}")
+    yield pytest.param(skew_from_blocks([0.4, 1e-7, 1e-9, 3e-12], 33, rng), id="small values")
+    yield pytest.param(skew_from_blocks([0.3, 0.3, 0.1, 0.1], 11, rng), id="repeated pairs")
+    yield pytest.param(np.zeros((6, 6)), id="zero matrix")
+    yield pytest.param(np.zeros((7, 7)), id="zero matrix, odd size")
+    yield pytest.param(np.zeros((1, 1)), id="d = 1")
+
+
 class TestSkewCanonical:
+    @pytest.mark.parametrize("a", cluster_inputs())
+    def test_cluster_inputs(self, a):
+        d = a.shape[0]
+        form = linalg.skew_canonical(a)
+        # block values against the positive half of an independent spectrum
+        expected = np.sort(np.linalg.eigvalsh(1j * a))[::-1][: d // 2]
+        assert np.max(np.abs(form.block_values - expected), initial=0.0) <= 1e-12
+        assert np.max(np.abs(form.reconstruct() - a)) <= 1e-12
+        o = form.orthogonal
+        assert np.max(np.abs(o @ o.T - np.eye(d))) <= 1e-12
+        canon = o @ a @ o.T
+        for m, value in enumerate(form.block_values):
+            assert abs(canon[2 * m + 1, 2 * m] - value) <= 1e-12  # +a_m below the diagonal
+        assert form.residual_dim == d % 2
+
     def test_already_canonical(self):
         t = 0.4
         a = np.array([[0.0, -t], [t, 0.0]])

@@ -131,6 +131,11 @@ class TestClassifyBloch:
         with pytest.raises(ValueError, match="unit ball"):
             measures.classify_bloch((1.0, 1.0, 0.0))
 
+    def test_non_finite_triple_rejected(self):
+        for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):
+            with pytest.raises(ValueError, match="unit ball"):
+                measures.classify_bloch(bad)
+
     def test_grid_sweep_matches_full_classifier(self):
         # verdicts from the Bloch shortcut vs the full-matrix classifier
         axis = np.linspace(-1, 1, 21)

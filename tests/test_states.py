@@ -47,6 +47,11 @@ class TestValidation:
         with pytest.raises(StateValidationError, match="norm"):
             BlochVector(1.0, 0.2, 0.0)
 
+    def test_rejects_non_finite_bloch_vector(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(StateValidationError, match="norm"):
+                BlochVector(bad, 0.0, 0.0)
+
     def test_matrix_is_immutable(self):
         rho = states.from_pure(states.plus_i())
         with pytest.raises(ValueError):
