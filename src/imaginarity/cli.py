@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import gatesim, measures, realops, states
+from . import gatesim, linalg, measures, realops, states
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -128,7 +128,7 @@ def _cmd_simulate(args) -> list:
             )
         resource = realops.convert_to_plus_hat(rho).output
     inst = builder(resource=resource)
-    verification = gatesim.verify_instance(inst, tolerance=1e-10)
+    verification = gatesim.verify_instance(inst, tolerance=linalg.CHECK_TOL)
     hs = gatesim.hs_consistency(inst, seed=args.seed)
     return [
         {
@@ -166,7 +166,7 @@ def _cmd_rigidity(args) -> list:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=measures.DEFAULT_VERDICT_TOL)
+    common.add_argument("--tolerance", type=float, default=linalg.VERDICT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None, help="output file ('-' = stdout)")
 

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .measures import UNIVERSAL, ClassificationReport, classify
 from .states import DensityMatrix, PureState, from_pure, plus_i
 from .realops import ConversionResult, convert_to_plus_hat
@@ -60,9 +61,6 @@ def rx(theta: float) -> np.ndarray:
 
 
 # --- simulation instances ---------------------------------------------------
-
-ORTHOGONALITY_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,12 +112,12 @@ def _check_instance(inst: SimulationInstance) -> None:
         raise ValueError("instance unitary contains non-finite entries")
     if not np.all(np.isfinite(inst.target)):
         raise ValueError("target matrix contains non-finite entries")
-    if np.max(np.abs(u.imag)) > ORTHOGONALITY_TOL:
+    if np.max(np.abs(u.imag)) > linalg.EXACT_TOL:
         raise ValueError("instance unitary must be real")
-    if np.max(np.abs(u.real.T @ u.real - np.eye(n))) > ORTHOGONALITY_TOL:
+    if np.max(np.abs(u.real.T @ u.real - np.eye(n))) > linalg.EXACT_TOL:
         raise ValueError("instance unitary is not orthogonal")
     v = inst.target
-    if np.max(np.abs(v.conj().T @ v - np.eye(inst.data_dim))) > UNITARITY_TOL:
+    if np.max(np.abs(v.conj().T @ v - np.eye(inst.data_dim))) > linalg.EXACT_TOL:
         raise ValueError("target matrix is not unitary")
 
 
@@ -142,7 +140,7 @@ class VerificationReport:
     probe_count: int
     residuals: tuple
 
-    def residual_uniform(self, tolerance: float = 1e-12) -> bool:
+    def residual_uniform(self, tolerance: float = linalg.EXACT_TOL) -> bool:
         first = self.residuals[0]
         return all(np.max(np.abs(r - first)) <= tolerance for r in self.residuals[1:])
 
@@ -155,7 +153,9 @@ class VerificationReport:
         }
 
 
-def verify_instance(inst: SimulationInstance, tolerance: float = 1e-10) -> VerificationReport:
+def verify_instance(
+    inst: SimulationInstance, tolerance: float = linalg.CHECK_TOL
+) -> VerificationReport:
     """Evaluate both sides of the simulation equation on the spanning probes.
 
     The probes are the n basis vectors |j> and, for every pair j < k, the
@@ -215,12 +215,12 @@ def verify_instance(inst: SimulationInstance, tolerance: float = 1e-10) -> Verif
     )
 
 
-def residual_independence_check(inst: SimulationInstance, tolerance: float = 1e-12) -> bool:
+def residual_independence_check(inst: SimulationInstance) -> bool:
     """True iff the extracted residual state is the same for every probe."""
     report = verify_instance(inst)
     if not report.holds:
         raise ValueError("instance does not verify; residual extraction is meaningless")
-    return report.residual_uniform(tolerance)
+    return report.residual_uniform()
 
 
 def hs_consistency(inst: SimulationInstance, samples: int = 20, seed: int = 0) -> dict:
@@ -235,12 +235,12 @@ def hs_consistency(inst: SimulationInstance, samples: int = 20, seed: int = 0) -
     lhs = float(np.trace(inst.resource.matrix @ inst.resource.matrix.conj()).real)
     res_overlap = float(np.trace(inst.residual.matrix @ inst.residual.matrix.conj()).real)
     gram = inst.target.T @ inst.target
-    rng = np.random.default_rng(seed)
-    rhs_values = []
-    for _ in range(samples):
-        psi = rng.standard_normal(inst.data_dim) + 1j * rng.standard_normal(inst.data_dim)
-        psi = psi / np.linalg.norm(psi)
-        rhs_values.append(res_overlap * abs(psi.conj() @ gram @ psi) ** 2)
+    # Sample s draws its real then its imaginary part, as one draw per sample would.
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, inst.data_dim))
+    psi = draws[:, 0] + 1j * draws[:, 1]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    amplitudes = np.einsum("si,ij,sj->s", psi.conj(), gram, psi)
+    rhs_values = (res_overlap * np.abs(amplitudes) ** 2).tolist()
     max_dev = max(abs(lhs - r) for r in rhs_values)
     return {"lhs": lhs, "rhs_values": rhs_values, "max_deviation": max_dev}
 
@@ -270,7 +270,7 @@ class PhaseRigidityResult:
         return out
 
 
-def phase_rigidity(v, tolerance: float = 1e-10) -> PhaseRigidityResult:
+def phase_rigidity(v, tolerance: float = linalg.CHECK_TOL) -> PhaseRigidityResult:
     """Analyze W = V^T V of a unitary V.
 
     If W = e^{i eta} I, then V' = e^{-i eta / 2} V is real orthogonal: V can
@@ -279,7 +279,7 @@ def phase_rigidity(v, tolerance: float = 1e-10) -> PhaseRigidityResult:
     """
     v = np.asarray(v, dtype=complex)
     n = v.shape[0]
-    if not np.max(np.abs(v.conj().T @ v - np.eye(n))) <= UNITARITY_TOL:  # NaN fails too
+    if not np.max(np.abs(v.conj().T @ v - np.eye(n))) <= linalg.EXACT_TOL:  # NaN fails too
         raise ValueError("input matrix is not unitary")
     w = v.T @ v
     off = w - np.diag(np.diag(w))
@@ -293,7 +293,7 @@ def phase_rigidity(v, tolerance: float = 1e-10) -> PhaseRigidityResult:
     eta = float(np.angle(np.mean(diag)))
     realified = np.exp(-0.5j * eta) * v
     # real up to an overall sign: the eta/2 branch may flip it
-    is_real = float(np.max(np.abs(realified.imag))) <= max(tolerance, 1e-12)
+    is_real = float(np.max(np.abs(realified.imag))) <= max(tolerance, linalg.EXACT_TOL)
     return PhaseRigidityResult(w, True, eta, realified, is_real)
 
 
@@ -341,7 +341,7 @@ def cs_gadget(resource: Optional[DensityMatrix] = None) -> SimulationInstance:
     )
 
 
-def cz_from_cs(tolerance: float = 1e-12) -> VerificationReport:
+def cz_from_cs(tolerance: float = linalg.EXACT_TOL) -> VerificationReport:
     """Applying the controlled-S gadget twice simulates controlled-Z."""
     base = cs_gadget()
     inst = SimulationInstance(
@@ -395,7 +395,7 @@ class PipelineResult:
     gadget_verified: Optional[bool]
 
 
-def theorem1_pipeline(rho: DensityMatrix, tolerance: float = 1e-9) -> PipelineResult:
+def theorem1_pipeline(rho: DensityMatrix, tolerance: float = linalg.VERDICT_TOL) -> PipelineResult:
     """Classify, convert and (for universal resources) run the S gadget.
 
     Universal inputs are converted to |+i><+i| at fidelity 1 and plugged
@@ -408,6 +408,7 @@ def theorem1_pipeline(rho: DensityMatrix, tolerance: float = 1e-9) -> PipelineRe
         return PipelineResult(report, best_fidelity, None, None)
     conversion = convert_to_plus_hat(rho)
     inst = s_gadget(resource=conversion.output)
-    verification = verify_instance(inst, tolerance=max(tolerance, 1e-10))
-    verified = verification.holds and verification.residual_uniform(max(tolerance, 1e-10))
+    check = max(tolerance, linalg.CHECK_TOL)
+    verification = verify_instance(inst, tolerance=check)
+    verified = verification.holds and verification.residual_uniform(check)
     return PipelineResult(report, best_fidelity, conversion, verified)

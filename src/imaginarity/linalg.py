@@ -23,11 +23,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default absolute comparison tolerance; all quantities here are O(1).
-DEFAULT_TOL = 1e-10
+# Tolerance policy: every threshold in the package is one of these absolute
+# bounds (all the quantities compared are O(1)).  The paper's dichotomy is
+# exact; where floating point puts its boundary is decided here only.
 
-#: Entrywise bound below which a matrix counts as real.
-REALITY_TOL = 1e-12
+#: Bound on tr[rho rho*] for a universal verdict, the default of `classify`,
+#: `theorem1_pipeline` and the CLI's --tolerance.  tr[rho rho*] is quadratic
+#: in perturbations, so 1e-9 is robust at the dimensions targeted here.
+VERDICT_TOL = 1e-9
+
+#: Bound on deviations in input data and in verification: Hermiticity,
+#: trace and PSD shift of a density matrix, the Bloch ball, Hermitian, skew
+#: and orthonormal inputs, and `verify_instance` and `phase_rigidity`.
+CHECK_TOL = 1e-10
+
+#: Bound on deviations in what the package builds exactly: realness, pure
+#: state norms, Kraus completeness, instance orthogonality and unitarity,
+#: residual uniformity; relative to a_max, the zero cutoff of skew blocks.
+EXACT_TOL = 1e-12
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -45,7 +58,7 @@ def _require_square(m: np.ndarray, name: str = "matrix") -> None:
 
 
 def _require_real(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if np.max(np.abs(m.imag), initial=0.0) > REALITY_TOL:
+    if np.max(np.abs(m.imag), initial=0.0) > EXACT_TOL:
         raise ValueError(f"{name} must be real (max |Im| = {np.max(np.abs(m.imag))})")
     return m.real.copy()
 
@@ -79,36 +92,36 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return t.reshape(kept, kept)
 
 
-def _hermitian_part(m, tol: float) -> np.ndarray:
-    """(m + m^dag) / 2 for a square m within `tol` of Hermitian."""
+def _hermitian_part(m) -> np.ndarray:
+    """(m + m^dag) / 2 for a square m within CHECK_TOL of Hermitian."""
     m = _as_matrix(m)
     _require_square(m)
     dev = np.max(np.abs(m - m.conj().T), initial=0.0)
-    if dev > tol:
+    if dev > CHECK_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return (m + m.conj().T) / 2
 
 
-def hermitian_eig(m, tol: float = DEFAULT_TOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted
     descending, eigenvectors as columns.
     """
-    w, v = np.linalg.eigh(_hermitian_part(m, tol))
+    w, v = np.linalg.eigh(_hermitian_part(m))
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 
 
-def trace_norm(m, tol: float = DEFAULT_TOL) -> float:
+def trace_norm(m) -> float:
     """Schatten 1-norm of a Hermitian matrix: sum of |eigenvalues|.
 
     Only the eigenvalues are computed, no eigenvectors.
     """
-    return float(np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(m, tol)))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(m)))))
 
 
-def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_complete(columns) -> np.ndarray:
     """Extend k real orthonormal columns to a full real orthogonal matrix.
 
     The completion is the trailing columns of a complete QR factorization
@@ -122,7 +135,7 @@ def orthonormal_complete(columns, tol: float = DEFAULT_TOL) -> np.ndarray:
     if k > n:
         raise ValueError(f"cannot have {k} orthonormal columns in dimension {n}")
     gram_dev = np.max(np.abs(q.T @ q - np.eye(k)), initial=0.0)
-    if gram_dev > tol:
+    if gram_dev > CHECK_TOL:
         raise ValueError(f"input columns are not orthonormal (max deviation {gram_dev:.3e})")
     if k == n:
         return q
@@ -178,14 +191,14 @@ def _dense_canonical(t: np.ndarray, cutoff: float):
     return w[pos], full.T
 
 
-def skew_canonical(a, tol: float = DEFAULT_TOL) -> SkewCanonicalForm:
+def skew_canonical(a) -> SkewCanonicalForm:
     """Canonical 2x2-block form of a real skew-symmetric matrix.
 
     Computed from one real symmetric eigendecomposition of A^T A = -A^2,
     whose eigenvalues are the a_m^2, each twice.  In the eigenbasis Q,
     sorted descending, T = Q^T A Q is block diagonal up to rounding.
-    Block values at or below the cutoff 1e-12 * max(1, a_max) count as
-    zero.  The indices split into contiguous clusters, cut wherever no
+    Block values at or below the cutoff EXACT_TOL * max(1, a_max) count
+    as zero.  The indices split into contiguous clusters, cut wherever no
     entry of T couples the two sides above cutoff / d, so the couplings
     dropped by all cuts together have Frobenius norm at most the cutoff.
     (A cut at the cutoff itself can split a block just above it that is
@@ -211,14 +224,14 @@ def skew_canonical(a, tol: float = DEFAULT_TOL) -> SkewCanonicalForm:
     _require_square(m)
     A = _require_real(m)
     skew_dev = np.max(np.abs(A + A.T), initial=0.0)
-    if skew_dev > tol:
+    if skew_dev > CHECK_TOL:
         raise ValueError(f"matrix is not skew-symmetric (max deviation {skew_dev:.3e})")
     A = (A - A.T) / 2
     d = A.shape[0]
 
     g, q = np.linalg.eigh(A.T @ A)
     q = q[:, ::-1]
-    cutoff = 1e-12 * max(1.0, float(np.sqrt(np.max(g, initial=0.0))))
+    cutoff = EXACT_TOL * max(1.0, float(np.sqrt(np.max(g, initial=0.0))))
     t = q.T @ A @ q
     o = q.T  # rows of the result; the cluster step rewrites its own rows
 

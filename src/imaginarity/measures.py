@@ -18,11 +18,6 @@ from .states import BlochVector, DensityMatrix
 UNIVERSAL = "universal"
 ZERO = "zero"
 
-#: Default absolute threshold on tr[rho rho*] for the universality verdict.
-#: The dichotomy is exact in theory; tr[rho rho*] is quadratic in
-#: perturbations, so 1e-9 is robust at the dimensions this package targets.
-DEFAULT_VERDICT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -75,7 +70,7 @@ def robustness(rho: DensityMatrix) -> float:
     return classify(rho).robustness
 
 
-def classify(rho: DensityMatrix, tolerance: float = DEFAULT_VERDICT_TOL) -> ClassificationReport:
+def classify(rho: DensityMatrix, tolerance: float = linalg.VERDICT_TOL) -> ClassificationReport:
     """Full measure report plus the universal/zero verdict.
 
     All measures are reported even for zero-resource states so that
@@ -93,39 +88,34 @@ def classify(rho: DensityMatrix, tolerance: float = DEFAULT_VERDICT_TOL) -> Clas
     )
 
 
-def classify_bloch(b, tolerance: float = DEFAULT_VERDICT_TOL) -> str:
+def classify_bloch(b) -> str:
     """Qubit verdict straight from the Bloch vector.
 
-    Universal iff |y| >= 1 - tolerance; the ball constraint then forces
+    Universal iff |y| >= 1 - VERDICT_TOL; the ball constraint then forces
     x = z = 0, i.e. the state is |+i><+i| or |-i><-i|.  Accepts a
-    BlochVector or a plain (x, y, z) triple.
+    BlochVector or a plain (x, y, z) triple, which is checked as one.
     """
-    if isinstance(b, BlochVector):
-        x, y, z = b.x, b.y, b.z
-    else:
-        x, y, z = (float(c) for c in b)
-        if not x * x + y * y + z * z <= 1.0 + 1e-10:  # also rejects NaN and inf
-            raise ValueError(f"Bloch vector ({x}, {y}, {z}) lies outside the unit ball")
-    return UNIVERSAL if abs(y) >= 1.0 - tolerance else ZERO
+    if not isinstance(b, BlochVector):
+        b = BlochVector(*(float(c) for c in b))
+    return UNIVERSAL if abs(b.y) >= 1.0 - linalg.VERDICT_TOL else ZERO
 
 
-def orthogonality_tracedist_oracle(
-    rho: DensityMatrix, sigma: DensityMatrix, tolerance: float = DEFAULT_VERDICT_TOL
-) -> dict:
+def orthogonality_tracedist_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> dict:
     """Check tr[rho sigma] = 0 against ||rho - sigma||_1 = 2 independently.
 
     Both sides are computed from scratch (direct product trace vs
     eigenvalue sum); `equivalence_holds` reports whether the two
-    characterizations of orthogonal support agree.
+    characterizations of orthogonal support agree to within VERDICT_TOL.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     overlap = float(np.trace(rho.matrix @ sigma.matrix).real)
     trace_dist = linalg.trace_norm(rho.matrix - sigma.matrix)
+    tol = linalg.VERDICT_TOL
     return {
         "overlap": overlap,
         "trace_dist": trace_dist,
-        "equivalence_holds": (overlap <= tolerance) == (trace_dist >= 2.0 - tolerance),
+        "equivalence_holds": (overlap <= tol) == (trace_dist >= 2.0 - tol),
     }
 
 

@@ -21,8 +21,6 @@ import numpy as np
 from . import linalg
 from .states import DensityMatrix, from_pure, plus_i
 
-COMPLETENESS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RealKrausSet:
@@ -43,7 +41,7 @@ class RealKrausSet:
             )
         stacked = ops.reshape(-1, self.in_dim)
         dev = np.max(np.abs(stacked.T @ stacked - np.eye(self.in_dim)))
-        if not dev <= COMPLETENESS_TOL:  # NaN fails too
+        if not dev <= linalg.EXACT_TOL:  # NaN fails too
             raise ValueError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
         ops.setflags(write=False)
         object.__setattr__(self, "operators", tuple(ops))
@@ -74,18 +72,9 @@ class RealDilation:
     Row index order is [output system, environment].
     """
 
-    isometry: np.ndarray
     unitary: np.ndarray
     env_dim: int
     pad_dim: int
-
-    def to_json(self) -> dict:
-        return {
-            "isometry": self.isometry.tolist(),
-            "unitary": self.unitary.tolist(),
-            "env_dim": self.env_dim,
-            "pad_dim": self.pad_dim,
-        }
 
 
 def build_kraus(d: int) -> RealKrausSet:
@@ -118,10 +107,9 @@ def align_for_state(rho: DensityMatrix) -> np.ndarray:
     cached one, shared with `measures.imaginarity_trace_norm`.
     """
     form = rho.imag_canonical
-    o = form.orthogonal.copy()
-    for m in range(len(form.block_values)):
-        o[[2 * m, 2 * m + 1]] = o[[2 * m + 1, 2 * m]]
-    return o
+    rows = np.arange(form.orthogonal.shape[0])
+    rows[: 2 * len(form.block_values)] ^= 1  # swap rows 2m and 2m + 1
+    return form.orthogonal[rows]
 
 
 def apply_kraus(kraus: RealKrausSet, align, rho: DensityMatrix) -> DensityMatrix:
@@ -174,12 +162,7 @@ def dilate(kraus: RealKrausSet) -> RealDilation:
     # Row (o, m) of W is row o of K_m.
     w = np.stack(kraus.operators, axis=1).reshape(total, kraus.in_dim)
     unitary = linalg.orthonormal_complete(w)
-    return RealDilation(
-        isometry=w,
-        unitary=unitary,
-        env_dim=e,
-        pad_dim=total - kraus.in_dim,
-    )
+    return RealDilation(unitary=unitary, env_dim=e, pad_dim=total - kraus.in_dim)
 
 
 def apply_dilation(dilation: RealDilation, align, rho: DensityMatrix) -> DensityMatrix:

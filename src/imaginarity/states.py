@@ -4,8 +4,8 @@ State objects validate their invariants at construction and are immutable
 afterwards; constructors reject violations instead of renormalizing, so
 drift in downstream channel code surfaces immediately.  Positive
 semidefiniteness is tested by a Cholesky factorization of the matrix
-shifted by PSD_TOL * I, which succeeds exactly when the smallest
-eigenvalue exceeds -PSD_TOL (up to rounding of order d * eps); the full
+shifted by linalg.CHECK_TOL * I, which succeeds exactly when the smallest
+eigenvalue exceeds -CHECK_TOL (up to rounding of order d * eps); the full
 spectrum is computed only to report a rejection.  A density matrix also
 carries the 2x2-block canonical form of its Im(rho), computed once on
 first use, which every measure and the optimal alignment read.
@@ -29,12 +29,6 @@ import numpy as np
 
 from . import linalg
 
-HERMITICITY_TOL = 1e-10
-PSD_TOL = 1e-10
-TRACE_TOL = 1e-10
-NORM_TOL = 1e-12
-BLOCH_TOL = 1e-10
-
 
 class StateFormatError(ValueError):
     """Raised when serialized state data does not match the JSON grammar."""
@@ -54,8 +48,9 @@ def _freeze(obj, field: str, value: np.ndarray) -> None:
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
-    Accepted when the Cholesky factorization of (m + m^dag)/2 + PSD_TOL * I
-    exists, i.e. when the smallest eigenvalue lies above -PSD_TOL.
+    Hermiticity and the trace are checked to within linalg.CHECK_TOL.  PSD
+    holds when the Cholesky factorization of (m + m^dag)/2 + CHECK_TOL * I
+    exists, i.e. when the smallest eigenvalue lies above -CHECK_TOL.
     """
 
     matrix: np.ndarray
@@ -67,14 +62,14 @@ class DensityMatrix:
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise StateValidationError("density matrix contains non-finite entries")
         herm = np.max(np.abs(m - m.conj().T), initial=0.0)
-        if herm > HERMITICITY_TOL:
+        if herm > linalg.CHECK_TOL:
             raise StateValidationError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > linalg.CHECK_TOL:
             raise StateValidationError(f"trace is {tr}, expected 1")
         h = (m + m.conj().T) / 2
         try:
-            np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[0]))
+            np.linalg.cholesky(h + linalg.CHECK_TOL * np.eye(m.shape[0]))
         except np.linalg.LinAlgError:
             min_eig = float(np.min(np.linalg.eigvalsh(h)))
             raise StateValidationError(
@@ -112,7 +107,7 @@ class PureState:
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise StateValidationError("pure state contains non-finite amplitudes")
         norm2 = float(np.sum(np.abs(a) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if abs(norm2 - 1.0) > linalg.EXACT_TOL:
             raise StateValidationError(f"squared norm is {norm2}, expected 1")
         _freeze(self, "amplitudes", a)
 
@@ -129,8 +124,11 @@ class BlochVector:
 
     def __post_init__(self):
         r2 = self.x**2 + self.y**2 + self.z**2
-        if not r2 <= 1.0 + BLOCH_TOL:  # also rejects NaN and inf
-            raise StateValidationError(f"Bloch vector has norm^2 = {r2} > 1")
+        if not r2 <= 1.0 + linalg.CHECK_TOL:  # also rejects NaN and inf
+            raise StateValidationError(
+                f"Bloch vector ({self.x}, {self.y}, {self.z}) lies outside "
+                f"the unit ball (norm^2 = {r2})"
+            )
 
 
 # Pauli matrices (local copies; the full gate library lives in gatesim).

@@ -196,6 +196,15 @@ class TestVerifyInstance:
         )
         with pytest.raises(ValueError, match="orthogonal"):
             verify_instance(bad)
+        # Either side of the EXACT_TOL boundary on max |U^T U - I|.
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            u = base.unitary * np.sqrt(1.0 + factor * linalg.EXACT_TOL)
+            scaled = dataclasses.replace(base, unitary=u)
+            if accepted:
+                assert verify_instance(scaled).holds
+                continue
+            with pytest.raises(ValueError, match="orthogonal"):
+                verify_instance(scaled)
 
     def test_rejects_nan_in_unitary(self):
         base = s_gadget()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imaginarity import measures, states
+from imaginarity import linalg, measures, states
 from imaginarity.measures import UNIVERSAL, ZERO
 from imaginarity.states import BlochVector, DensityMatrix
 
@@ -130,6 +130,14 @@ class TestClassifyBloch:
     def test_triple_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="unit ball"):
             measures.classify_bloch((1.0, 1.0, 0.0))
+        # Either side of the CHECK_TOL boundary on norm^2 - 1, as BlochVector.
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            y = np.sqrt(1.0 + factor * linalg.CHECK_TOL)
+            if accepted:
+                assert measures.classify_bloch((0.0, y, 0.0)) == UNIVERSAL
+                continue
+            with pytest.raises(ValueError, match="unit ball"):
+                measures.classify_bloch((0.0, y, 0.0))
 
     def test_non_finite_triple_rejected(self):
         for bad in ((np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from imaginarity import measures, realops, states
+from imaginarity import linalg, measures, realops, states
 from imaginarity.states import DensityMatrix
 
 
@@ -36,6 +36,14 @@ class TestBuildKraus:
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="trace preserving"):
             realops.RealKrausSet(in_dim=2, out_dim=2, operators=(np.eye(2) * 0.5,))
+        # Either side of the EXACT_TOL boundary on max |sum K^T K - I|.
+        for factor, accepted in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False)):
+            ops = (np.eye(2) * np.sqrt(1.0 + factor * linalg.EXACT_TOL),)
+            if accepted:
+                realops.RealKrausSet(in_dim=2, out_dim=2, operators=ops)
+                continue
+            with pytest.raises(ValueError, match="trace preserving"):
+                realops.RealKrausSet(in_dim=2, out_dim=2, operators=ops)
 
     def test_non_finite_operator_rejected(self):
         obj = realops.build_kraus(4).to_json()
@@ -61,6 +69,22 @@ class TestAlignment:
             result = realops.convert_to_plus_hat(rho)
             assert abs(result.fidelity - 1.0) <= 1e-10
             np.testing.assert_allclose(result.output.matrix, plus_hat_projector(), atol=1e-10)
+
+    def test_matches_per_block_swap(self):
+        # Reference: the canonical form's rows with rows 2m and 2m + 1
+        # swapped, one block at a time.
+        for rho in (
+            states.gen_random_density(8, 1),
+            states.gen_random_density(9, 2),
+            states.gen_max_imaginary(16, 3, 3),
+            DensityMatrix(np.diag([0.25, 0.35, 0.4])),
+            states.gen_random_density(256, 4),
+        ):
+            form = rho.imag_canonical
+            want = form.orthogonal.copy()
+            for m in range(len(form.block_values)):
+                want[[2 * m, 2 * m + 1]] = want[[2 * m + 1, 2 * m]]
+            np.testing.assert_array_equal(realops.align_for_state(rho), want)
 
     def test_alignment_is_orthogonal(self):
         for seed in range(8):
@@ -200,8 +224,3 @@ class TestSerialization:
         assert back.in_dim == k.in_dim and back.out_dim == k.out_dim
         for a, b in zip(k.operators, back.operators):
             np.testing.assert_array_equal(a, b)
-
-    def test_dilation_json_fields(self):
-        obj = realops.dilate(realops.build_kraus(3)).to_json()
-        assert set(obj) == {"isometry", "unitary", "env_dim", "pad_dim"}
-        json.dumps(obj)  # serializable

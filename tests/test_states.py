@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from imaginarity import measures, states
+from imaginarity import linalg, measures, states
 from imaginarity.states import (
     BlochVector,
     DensityMatrix,
@@ -15,21 +15,37 @@ class TestValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(StateValidationError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        # Either side of the CHECK_TOL boundary on max |m - m^dag|.
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            m = np.array([[0.5, factor * linalg.CHECK_TOL], [0.0, 0.5]])
+            if accepted:
+                DensityMatrix(m)
+                continue
+            with pytest.raises(StateValidationError, match="Hermitian"):
+                DensityMatrix(m)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(StateValidationError, match="trace"):
             DensityMatrix(np.eye(2))
+        # Either side of the CHECK_TOL boundary on |tr m - 1|.
+        for factor, accepted in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False)):
+            m = np.diag([0.5 + factor * linalg.CHECK_TOL, 0.5])
+            if accepted:
+                DensityMatrix(m)
+                continue
+            with pytest.raises(StateValidationError, match="trace"):
+                DensityMatrix(m)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(StateValidationError, match="positive semidefinite"):
             DensityMatrix(np.diag([1.5, -0.5]))
-        # Either side of the -PSD_TOL boundary, in a random complex basis.
+        # Either side of the -CHECK_TOL boundary, in a random complex basis.
         rng = np.random.default_rng(3)
         for d in (2, 16, 256):
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             q, _ = np.linalg.qr(g)
             for factor, accepted in ((-0.5, True), (-2.0, False)):
-                low = factor * states.PSD_TOL
+                low = factor * linalg.CHECK_TOL
                 eigs = np.concatenate([[low], np.full(d - 1, (1.0 - low) / (d - 1))])
                 m = (q * eigs) @ q.conj().T
                 if accepted:
@@ -42,10 +58,27 @@ class TestValidation:
     def test_rejects_unnormalized_pure(self):
         with pytest.raises(StateValidationError, match="norm"):
             PureState(np.array([1.0, 1.0]))
+        # Either side of the EXACT_TOL boundary on |norm^2 - 1|.
+        unit = np.array([0.6, 0.8j])
+        for factor, accepted in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False)):
+            amps = unit * np.sqrt(1.0 + factor * linalg.EXACT_TOL)
+            if accepted:
+                PureState(amps)
+                continue
+            with pytest.raises(StateValidationError, match="norm"):
+                PureState(amps)
 
     def test_rejects_long_bloch_vector(self):
         with pytest.raises(StateValidationError, match="norm"):
             BlochVector(1.0, 0.2, 0.0)
+        # Either side of the CHECK_TOL boundary on norm^2 - 1.
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            y = np.sqrt(1.0 + factor * linalg.CHECK_TOL)
+            if accepted:
+                BlochVector(0.0, y, 0.0)
+                continue
+            with pytest.raises(StateValidationError, match="norm"):
+                BlochVector(0.0, y, 0.0)
 
     def test_rejects_non_finite_bloch_vector(self):
         for bad in (np.nan, np.inf, -np.inf):
