@@ -165,10 +165,13 @@ def _cmd_rigidity(args) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=linalg.VERDICT_TOL)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None, help="output file ('-' = stdout)")
+    # Each command takes only the flags it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file ('-' = stdout)")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=linalg.VERDICT_TOL)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="imaginarity",
@@ -176,31 +179,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="classify states as universal/zero")
+    p = sub.add_parser(
+        "classify", parents=[out, tolerance], help="classify states as universal/zero"
+    )
     p.add_argument("paths", nargs="+")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("measure", parents=[common], help="report imaginarity measures")
+    p = sub.add_parser("measure", parents=[out], help="report imaginarity measures")
     p.add_argument("paths", nargs="+")
     p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("convert", parents=[common], help="optimal conversion towards |+i>")
+    p = sub.add_parser("convert", parents=[out], help="optimal conversion towards |+i>")
     p.add_argument("path")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("simulate", parents=[common], help="run a gate gadget and verify it")
+    p = sub.add_parser(
+        "simulate", parents=[out, tolerance, seed], help="run a gate gadget and verify it"
+    )
     p.add_argument("gadget", choices=["s", "cs"])
     p.add_argument("--resource", default=None, help="state file to use as the resource")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a state file")
+    p = sub.add_parser("gen", parents=[out, seed], help="generate a state file")
     p.add_argument("kind", choices=["random", "max-imaginary", "bloch"])
     p.add_argument("params", nargs="*", help="for bloch: x y z")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("rigidity", parents=[common], help="phase-rigidity analysis of a unitary")
+    p = sub.add_parser(
+        "rigidity", parents=[out, tolerance], help="phase-rigidity analysis of a unitary"
+    )
     p.add_argument("path")
     p.set_defaults(func=_cmd_rigidity)
 

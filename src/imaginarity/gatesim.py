@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .measures import UNIVERSAL, ClassificationReport, classify
+from .measures import UNIVERSAL, ClassificationReport, classify, overlap_conj
 from .states import DensityMatrix, PureState, from_pure, plus_i
 from .realops import ConversionResult, convert_to_plus_hat
 
@@ -48,6 +48,18 @@ CS = np.kron(np.diag([1.0, 0.0]).astype(complex), I2) + np.kron(
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 _P11 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
 CCZ = np.kron(np.eye(4, dtype=complex) - _P11, I2) + np.kron(_P11, Z)
+
+# Fixed objects of the gadgets, built once: the S and CS gadget unitaries
+# (read-only, since every instance shares them), the trivial output
+# ancilla and the default |+i><+i| resource.
+_S_GADGET = np.kron(I2, np.diag([1.0, 0.0]).astype(complex)) + np.kron(
+    GDG, np.diag([0.0, 1.0]).astype(complex)
+)
+_CS_GADGET = np.kron(I2, np.eye(4, dtype=complex) - _P11) + np.kron(GDG, _P11)
+_S_GADGET.setflags(write=False)
+_CS_GADGET.setflags(write=False)
+_TRIVIAL_OUT_ANCILLA = PureState(np.array([1.0 + 0.0j]))
+_PLUS_I = from_pure(plus_i())
 
 
 def ry(theta: float) -> np.ndarray:
@@ -81,20 +93,6 @@ class SimulationInstance:
     @property
     def data_dim(self) -> int:
         return self.target.shape[0]
-
-    def to_json(self) -> dict:
-        from .states import density_to_json, pure_to_json
-
-        return {
-            "unitary_re": self.unitary.real.tolist(),
-            "unitary_im": self.unitary.imag.tolist(),
-            "resource": density_to_json(self.resource),
-            "ancilla_dim": self.ancilla_dim,
-            "target_re": self.target.real.tolist(),
-            "target_im": self.target.imag.tolist(),
-            "residual": density_to_json(self.residual),
-            "out_ancilla": pure_to_json(self.out_ancilla),
-        }
 
 
 def _check_instance(inst: SimulationInstance) -> None:
@@ -232,8 +230,8 @@ def hs_consistency(inst: SimulationInstance, samples: int = 20, seed: int = 0) -
     report = verify_instance(inst)
     if not report.holds:
         raise ValueError("instance does not verify")
-    lhs = float(np.trace(inst.resource.matrix @ inst.resource.matrix.conj()).real)
-    res_overlap = float(np.trace(inst.residual.matrix @ inst.residual.matrix.conj()).real)
+    lhs = overlap_conj(inst.resource)
+    res_overlap = overlap_conj(inst.residual)
     gram = inst.target.T @ inst.target
     # Sample s draws its real then its imaginary part, as one draw per sample would.
     draws = np.random.default_rng(seed).standard_normal((samples, 2, inst.data_dim))
@@ -300,10 +298,6 @@ def phase_rigidity(v, tolerance: float = linalg.CHECK_TOL) -> PhaseRigidityResul
 # --- gadgets ----------------------------------------------------------------
 
 
-def _trivial_out_ancilla() -> PureState:
-    return PureState(np.array([1.0 + 0.0j]))
-
-
 def s_gadget(resource: Optional[DensityMatrix] = None) -> SimulationInstance:
     """Catalytic S-gate gadget.
 
@@ -311,33 +305,27 @@ def s_gadget(resource: Optional[DensityMatrix] = None) -> SimulationInstance:
     the data qubit; with the |+i> catalyst the data register picks up
     exactly the S phase while the catalyst is returned untouched.
     """
-    if resource is None:
-        resource = from_pure(plus_i())
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    u = np.kron(I2, p0) + np.kron(GDG, p1)
+    resource = _PLUS_I if resource is None else resource
     return SimulationInstance(
-        unitary=u,
+        unitary=_S_GADGET,
         resource=resource,
         ancilla_dim=1,
         target=S,
         residual=resource,
-        out_ancilla=_trivial_out_ancilla(),
+        out_ancilla=_TRIVIAL_OUT_ANCILLA,
     )
 
 
 def cs_gadget(resource: Optional[DensityMatrix] = None) -> SimulationInstance:
     """Catalytic controlled-S gadget (doubly controlled G^dag)."""
-    if resource is None:
-        resource = from_pure(plus_i())
-    u = np.kron(I2, np.eye(4, dtype=complex) - _P11) + np.kron(GDG, _P11)
+    resource = _PLUS_I if resource is None else resource
     return SimulationInstance(
-        unitary=u,
+        unitary=_CS_GADGET,
         resource=resource,
         ancilla_dim=1,
         target=CS,
         residual=resource,
-        out_ancilla=_trivial_out_ancilla(),
+        out_ancilla=_TRIVIAL_OUT_ANCILLA,
     )
 
 
@@ -350,7 +338,7 @@ def cz_from_cs(tolerance: float = linalg.EXACT_TOL) -> VerificationReport:
         ancilla_dim=1,
         target=CZ,
         residual=base.residual,
-        out_ancilla=_trivial_out_ancilla(),
+        out_ancilla=_TRIVIAL_OUT_ANCILLA,
     )
     return verify_instance(inst, tolerance=tolerance)
 
@@ -380,7 +368,7 @@ def real_target_instance(
         ancilla_dim=1,
         target=od,
         residual=DensityMatrix(orr @ rho.matrix @ orr.conj().T),
-        out_ancilla=_trivial_out_ancilla(),
+        out_ancilla=_TRIVIAL_OUT_ANCILLA,
     )
 
 

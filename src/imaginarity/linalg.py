@@ -1,10 +1,11 @@
 """Dense complex-matrix kernel.
 
-Plain numpy (complex128) throughout.  All functions are pure: inputs are
-never mutated and there is no global state, so everything here is safe to
-share across threads.  Storage is dense and the decompositions (eigh and
-QR) cost O(d^3), which suits dimensions up to a few hundred; the
-benchmark runs them at d = 512.  The package takes one skew canonical
+Plain numpy, complex128 except for the real inputs of `skew_canonical`
+and `orthonormal_complete`, which stay float64.  All functions are pure:
+inputs are never mutated and there is no global state, so everything here
+is safe to share across threads.  Storage is dense and the decompositions
+(eigh and QR) cost O(d^3), which suits dimensions up to a few hundred;
+the benchmark runs them at d = 512.  The package takes one skew canonical
 form per state (see `states.DensityMatrix.imag_canonical`), from which
 the imaginarity trace norm and the optimal alignment are both read.
 
@@ -43,8 +44,7 @@ CHECK_TOL = 1e-10
 EXACT_TOL = 1e-12
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+def _checked(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):  # complex isfinite tests both parts
@@ -52,15 +52,25 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_matrix(a, name: str = "matrix") -> np.ndarray:
+    return _checked(np.asarray(a, dtype=complex), name)
+
+
+def _as_real_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Real input as it is (no complex copy); complex input with |Im| <= EXACT_TOL."""
+    m = np.asarray(a)
+    if not np.iscomplexobj(m):
+        return _checked(m.astype(float, copy=False), name)
+    m = _as_matrix(m, name)
+    imag = np.max(np.abs(m.imag), initial=0.0)
+    if imag > EXACT_TOL:
+        raise ValueError(f"{name} must be real (max |Im| = {imag})")
+    return m.real
+
+
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-
-
-def _require_real(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if np.max(np.abs(m.imag), initial=0.0) > EXACT_TOL:
-        raise ValueError(f"{name} must be real (max |Im| = {np.max(np.abs(m.imag))})")
-    return m.real.copy()
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -127,10 +137,9 @@ def orthonormal_complete(columns) -> np.ndarray:
     The completion is the trailing columns of a complete QR factorization
     of the input, which makes it deterministic.  The input columns are
     reproduced bitwise in the output.  A square input (k = n) is already
-    complete: once validated it is returned as is, with no factorization.
+    complete: once validated it is returned as a copy, with no factorization.
     """
-    c = _as_matrix(columns, "columns")
-    q = _require_real(c, "columns")
+    q = _as_real_matrix(columns, "columns")
     n, k = q.shape
     if k > n:
         raise ValueError(f"cannot have {k} orthonormal columns in dimension {n}")
@@ -138,7 +147,7 @@ def orthonormal_complete(columns) -> np.ndarray:
     if gram_dev > CHECK_TOL:
         raise ValueError(f"input columns are not orthonormal (max deviation {gram_dev:.3e})")
     if k == n:
-        return q
+        return q.copy()
 
     out, _ = np.linalg.qr(q, mode="complete")
     out[:, :k] = q
@@ -220,9 +229,8 @@ def skew_canonical(a) -> SkewCanonicalForm:
     maximally imaginary pure states), which pays the complex eigh and QR
     on top of the real eigh.
     """
-    m = _as_matrix(a)
-    _require_square(m)
-    A = _require_real(m)
+    A = _as_real_matrix(a)
+    _require_square(A)
     skew_dev = np.max(np.abs(A + A.T), initial=0.0)
     if skew_dev > CHECK_TOL:
         raise ValueError(f"matrix is not skew-symmetric (max deviation {skew_dev:.3e})")

@@ -91,13 +91,15 @@ def classify(rho: DensityMatrix, tolerance: float = linalg.VERDICT_TOL) -> Class
 def classify_bloch(b) -> str:
     """Qubit verdict straight from the Bloch vector.
 
-    Universal iff |y| >= 1 - VERDICT_TOL; the ball constraint then forces
-    x = z = 0, i.e. the state is |+i><+i| or |-i><-i|.  Accepts a
-    BlochVector or a plain (x, y, z) triple, which is checked as one.
+    For a qubit tr[rho rho*] = (1 + x^2 - y^2 + z^2) / 2, compared with
+    VERDICT_TOL as `classify` compares it: universal only near the poles
+    |+i><+i| and |-i><-i|.  Accepts a BlochVector or a plain (x, y, z)
+    triple, which is checked as one.
     """
     if not isinstance(b, BlochVector):
         b = BlochVector(*(float(c) for c in b))
-    return UNIVERSAL if abs(b.y) >= 1.0 - linalg.VERDICT_TOL else ZERO
+    overlap = (1.0 + b.x**2 - b.y**2 + b.z**2) / 2.0
+    return UNIVERSAL if overlap <= linalg.VERDICT_TOL else ZERO
 
 
 def orthogonality_tracedist_oracle(rho: DensityMatrix, sigma: DensityMatrix) -> dict:

@@ -9,7 +9,9 @@ attains the best possible fidelity with |+i>:
 
 Every channel also carries a Stinespring dilation: the stacked isometry
 W = sum_m K_m (x) |m>_E completed to a square real orthogonal matrix, with
-the environment initialized to its first basis vector.
+the environment initialized to its first basis vector.  `apply_kraus`
+(on the stored operators) and `apply_dilation` (on the dilation's unitary)
+run the same real contraction.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix, from_pure, plus_i
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
 class RealKrausSet:
-    """Trace-preserving family of real rectangular Kraus operators."""
+    """Trace-preserving family of real rectangular Kraus operators.
+
+    `operators` is one read-only float array of shape (m, out_dim, in_dim)."""
 
     in_dim: int
     out_dim: int
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
         ops = np.array(self.operators, dtype=float)
@@ -44,13 +48,13 @@ class RealKrausSet:
         if not dev <= linalg.EXACT_TOL:  # NaN fails too
             raise ValueError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
         ops.setflags(write=False)
-        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "operators", ops)
 
     def to_json(self) -> dict:
         return {
             "in_dim": self.in_dim,
             "out_dim": self.out_dim,
-            "operators": np.stack(self.operators).tolist(),
+            "operators": self.operators.tolist(),
         }
 
     @classmethod
@@ -85,17 +89,12 @@ def build_kraus(d: int) -> RealKrausSet:
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    ops = []
-    for m in range(d // 2):
-        k = np.zeros((2, d))
-        k[1, 2 * m] = 1.0
-        k[0, 2 * m + 1] = 1.0
-        ops.append(k)
-    if d % 2:
-        k = np.zeros((2, d))
-        k[0, d - 1] = 1.0
-        ops.append(k)
-    return RealKrausSet(in_dim=d, out_dim=2, operators=tuple(ops))
+    j = np.arange(d)
+    row = (j + 1) % 2  # column 2m goes to |1>, column 2m + 1 to |0>
+    row[2 * (d // 2):] = 0  # the odd remainder |0><d-1|
+    ops = np.zeros(((d + 1) // 2, 2, d))
+    ops[j // 2, row, j] = 1.0
+    return RealKrausSet(in_dim=d, out_dim=2, operators=ops)
 
 
 def align_for_state(rho: DensityMatrix) -> np.ndarray:
@@ -112,20 +111,30 @@ def align_for_state(rho: DensityMatrix) -> np.ndarray:
     return form.orthogonal[rows]
 
 
+def _compress(w: np.ndarray, align, rho: DensityMatrix) -> DensityMatrix:
+    """sum_e V_e rho V_e^T for V = w O, w real of shape (out, env, in).
+
+    O is the real orthogonal `align` (None: identity).  V meets Re(rho) and
+    Im(rho) in two real products, not one product promoted to complex.
+    """
+    out, _, d = w.shape
+    o = np.eye(d) if align is None else np.asarray(align, dtype=float)
+    if o.shape != (d, d):
+        raise ValueError(f"alignment shape {o.shape} inconsistent with dimension {d}")
+    v = w @ o
+    rows, flat = v.reshape(-1, d), v.reshape(out, -1)
+
+    def block(part):
+        return (rows @ part).reshape(out, -1) @ flat.T
+
+    return DensityMatrix(block(rho.matrix.real) + 1j * block(rho.matrix.imag))
+
+
 def apply_kraus(kraus: RealKrausSet, align, rho: DensityMatrix) -> DensityMatrix:
     """sum_m K_m (O rho O^T) K_m^T for real orthogonal alignment O."""
     if rho.dim != kraus.in_dim:
         raise ValueError(f"state dimension {rho.dim} != Kraus input dimension {kraus.in_dim}")
-    o = np.eye(kraus.in_dim) if align is None else np.asarray(align, dtype=float)
-    if o.shape != (kraus.in_dim, kraus.in_dim):
-        raise ValueError(f"alignment shape {o.shape} inconsistent with dimension {kraus.in_dim}")
-    # M_m = K_m O stacked: the output is sum_m M_m rho M_m^T in one contraction.
-    m, out = len(kraus.operators), kraus.out_dim
-    aligned = np.concatenate(kraus.operators) @ o
-    left = (aligned @ rho.matrix).reshape(m, out, kraus.in_dim)
-    return DensityMatrix(
-        np.einsum("moj,mpj->op", left, aligned.reshape(m, out, kraus.in_dim))
-    )
+    return _compress(kraus.operators.swapaxes(0, 1), align, rho)
 
 
 @dataclass(frozen=True)
@@ -140,13 +149,13 @@ def convert_to_plus_hat(rho: DensityMatrix) -> ConversionResult:
     """Optimal real-channel conversion of rho towards |+i><+i|.
 
     The achieved fidelity is exactly 1/2 + ||rho - rho*||_1 / 4; it equals
-    1 (and the output equals |+i><+i|) iff rho is maximally imaginary.
+    1 (and the output equals |+i><+i|) iff rho is maximally imaginary.  It
+    is read as <+i|out|+i> = 1/2 + Im out[1, 0] for the unit-trace output.
     """
     kraus = build_kraus(rho.dim)
     align = align_for_state(rho)
     output = apply_kraus(kraus, align, rho)
-    target = from_pure(plus_i()).matrix
-    fidelity = float(np.trace(target @ output.matrix).real)
+    fidelity = 0.5 + float(output.matrix[1, 0].imag)
     return ConversionResult(output=output, fidelity=fidelity, kraus=kraus, align=align)
 
 
@@ -160,7 +169,7 @@ def dilate(kraus: RealKrausSet) -> RealDilation:
     e = len(kraus.operators)
     total = kraus.out_dim * e
     # Row (o, m) of W is row o of K_m.
-    w = np.stack(kraus.operators, axis=1).reshape(total, kraus.in_dim)
+    w = kraus.operators.swapaxes(0, 1).reshape(total, kraus.in_dim)
     unitary = linalg.orthonormal_complete(w)
     return RealDilation(unitary=unitary, env_dim=e, pad_dim=total - kraus.in_dim)
 
@@ -169,16 +178,12 @@ def apply_dilation(dilation: RealDilation, align, rho: DensityMatrix) -> Density
     """Channel via the dilation path: embed, evolve, trace out environment.
 
     Must agree with `apply_kraus` for the Kraus set the dilation came from.
+    The input occupies the first d coordinates and the padding is zero, so
+    only the first d columns of the unitary act.
     """
     total = dilation.unitary.shape[0]
     d = total - dilation.pad_dim
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != dilation input dimension {d}")
-    o = np.eye(d) if align is None else np.asarray(align, dtype=float)
-    # The input occupies the first d coordinates and the padding is zero,
-    # so only the first d columns of the unitary act.  Only the reduced
-    # block of v rho v^T is formed: rows (o, m) summed over m.
-    v = dilation.unitary[:, :d] @ o
-    shape = (total // dilation.env_dim, dilation.env_dim, d)
-    left = (v @ rho.matrix).reshape(shape)
-    return DensityMatrix(np.einsum("omk,pmk->op", left, v.reshape(shape)))
+    w = dilation.unitary[:, :d].reshape(total // dilation.env_dim, dilation.env_dim, d)
+    return _compress(w, align, rho)

@@ -13,11 +13,9 @@ first use, which every measure and the optimal alignment read.
 All randomness goes through ``numpy.random.default_rng`` (PCG64, 64-bit
 seedable); every stochastic generator takes an explicit seed.
 
-Canonical JSON formats (used by the CLI and all serializers):
-
-* density matrix: ``{"dim": d, "re": [[...]], "im": [[...]]}`` with `re`
-  and `im` d x d arrays of reals;
-* pure state: ``{"dim": d, "amps_re": [...], "amps_im": [...]}``.
+Canonical JSON format of a density matrix (used by the CLI and all
+serializers): ``{"dim": d, "re": [[...]], "im": [[...]]}`` with `re` and
+`im` d x d arrays of reals.
 """
 
 from __future__ import annotations
@@ -252,24 +250,3 @@ def density_from_json(obj) -> DensityMatrix:
     re = _real_grid(obj, "re", dim)
     im = _real_grid(obj, "im", dim)
     return DensityMatrix(re + 1j * im)
-
-
-def pure_to_json(psi: PureState) -> dict:
-    return {
-        "dim": psi.dim,
-        "amps_re": psi.amplitudes.real.tolist(),
-        "amps_im": psi.amplitudes.imag.tolist(),
-    }
-
-
-def pure_from_json(obj) -> PureState:
-    if not isinstance(obj, dict):
-        raise StateFormatError("pure-state JSON must be an object")
-    try:
-        re = np.asarray(obj["amps_re"], dtype=float).reshape(-1)
-        im = np.asarray(obj["amps_im"], dtype=float).reshape(-1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFormatError("fields 'amps_re'/'amps_im' missing or malformed") from exc
-    if re.size != im.size:
-        raise StateFormatError("'amps_re' and 'amps_im' must have equal length")
-    return PureState(re + 1j * im)

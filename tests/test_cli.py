@@ -88,6 +88,31 @@ class TestMeasure:
         assert abs(rec["robustness"] - 1.0) <= 1e-12
 
 
+def test_commands_take_only_the_flags_they_read(capsys, plus_i_file):
+    # A flag a command would ignore is a usage error, not a silent no-op.
+    unread = [
+        ["measure", plus_i_file, "--tolerance", "5"],
+        ["measure", plus_i_file, "--seed", "1"],
+        ["convert", plus_i_file, "--tolerance", "5"],
+        ["convert", plus_i_file, "--seed", "1"],
+        ["gen", "random", "--tolerance", "5"],
+        ["classify", plus_i_file, "--seed", "1"],
+        ["rigidity", plus_i_file, "--seed", "1"],
+    ]
+    for argv in unread:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE, argv
+    assert capsys.readouterr().out == ""
+    read = [
+        ["classify", plus_i_file, "--tolerance", "1e-6"],
+        ["simulate", "s", "--resource", plus_i_file, "--tolerance", "1e-6", "--seed", "2"],
+        ["gen", "random", "--seed", "1"],
+    ]
+    for argv in read:
+        assert main(argv) == EXIT_OK, argv
+
+
 class TestConvert:
     def test_plus_i_fidelity_one(self, capsys, plus_i_file):
         code, lines = run(capsys, "convert", plus_i_file)

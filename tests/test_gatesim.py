@@ -452,7 +452,5 @@ class TestPipeline:
             assert calls == [(8, 8)]
 
     def test_gadget_serialization(self):
-        obj = s_gadget().to_json()
-        assert obj["ancilla_dim"] == 1
         report = verify_instance(s_gadget()).to_json()
         assert set(report) == {"holds", "max_deviation", "probe_count", "residual_uniform"}

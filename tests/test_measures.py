@@ -147,14 +147,19 @@ class TestClassifyBloch:
     def test_grid_sweep_matches_full_classifier(self):
         # verdicts from the Bloch shortcut vs the full-matrix classifier
         axis = np.linspace(-1, 1, 21)
-        for x in axis:
-            for y in axis:
-                for z in axis:
-                    if x * x + y * y + z * z > 1:
-                        continue
-                    b = BlochVector(x, y, z)
-                    full = measures.classify(states.state_of(b)).verdict
-                    assert measures.classify_bloch(b) == full
+        points = [(x, y, z) for x in axis for y in axis for z in axis if x * x + y * y + z * z <= 1]
+        # Near the poles tr[rho rho*] = (1 - y^2 + x^2 + z^2) / 2 falls on both
+        # sides of VERDICT_TOL while |y| stays within 1e-9 of 1.  The first
+        # point has tr[rho rho*] = 2.05e-9: it is zero, not universal.
+        points.append((np.sqrt(2.1e-9), 1 - 1e-9, 0.0))
+        for y in (1 - 1.2e-9, 1 - 8e-10, 1 - 4e-10):
+            for fraction in (0.0, 0.5, 1.0):  # of the room 1 - y^2 left in the ball
+                c = np.sqrt(fraction * (1 - y * y) / 2)
+                points += [(c, y, -c), (-c, -y, c)]
+        for point in points:
+            b = BlochVector(*point)
+            full = measures.classify(states.state_of(b)).verdict
+            assert measures.classify_bloch(b) == full, point
 
 
 class TestOrthogonalityOracle:

@@ -5,13 +5,16 @@ unchanged: it commutes with complex conjugation, so rho - rho* rotates
 into O (rho - rho*) O^T.  The skew canonical form must therefore return
 the same block values for O A O^T as for A, and `classify` must return
 the same verdict, trace norm and fidelity for O rho O^T as for rho.
+
+Both channel paths, the Kraus set and its dilation, must equal the
+operator sum sum_m K_m (O rho O^T) K_m^T for any real Kraus set.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imaginarity import linalg, measures, states
+from imaginarity import linalg, measures, realops, states
 from imaginarity.states import DensityMatrix
 
 DIMS = st.integers(min_value=1, max_value=48)
@@ -75,3 +78,31 @@ def test_classify_is_invariant_under_real_orthogonal_rotation(case):
     assert after.verdict == before.verdict
     assert abs(after.imag_trace_norm - before.imag_trace_norm) <= 1e-12
     assert abs(after.imag_fidelity - before.imag_fidelity) <= 1e-12
+
+
+@st.composite
+def real_channels(draw):
+    """The fixed 0/1 family, or a dense set cut from a random isometry."""
+    dim = draw(st.integers(min_value=2, max_value=48))
+    seed = draw(SEEDS)
+    if draw(st.booleans()):
+        return realops.build_kraus(dim), seed
+    out = draw(st.integers(min_value=1, max_value=3))
+    count = -(-dim // out) + draw(st.integers(min_value=0, max_value=2))
+    w = random_orthogonal(count * out, seed + 2)[:, :dim]
+    return realops.RealKrausSet(dim, out, w.reshape(count, out, dim)), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_channels())
+def test_kraus_and_dilation_paths_equal_the_operator_sum(case):
+    kraus, seed = case
+    rho = states.gen_random_density(kraus.in_dim, seed)
+    o = random_orthogonal(kraus.in_dim, seed + 1)
+    sigma = o @ rho.matrix @ o.T
+    expected = sum(k @ sigma @ k.T for k in kraus.operators)
+    via_kraus = realops.apply_kraus(kraus, o, rho).matrix
+    via_dilation = realops.apply_dilation(realops.dilate(kraus), o, rho).matrix
+    assert np.max(np.abs(via_kraus - expected)) <= 1e-12
+    assert np.max(np.abs(via_dilation - expected)) <= 1e-12
+    assert np.max(np.abs(via_kraus - via_dilation)) <= 1e-12

@@ -29,6 +29,31 @@ class TestBuildKraus:
             comp = sum(op.T @ op for op in k.operators)
             np.testing.assert_array_equal(comp, np.eye(d))
 
+    def test_operators_match_loop_reference(self):
+        for d in [*range(2, 10), 257, 512]:
+            reference = []
+            for m in range(d // 2):
+                k = np.zeros((2, d))
+                k[1, 2 * m] = 1.0
+                k[0, 2 * m + 1] = 1.0
+                reference.append(k)
+            if d % 2:
+                k = np.zeros((2, d))
+                k[0, d - 1] = 1.0
+                reference.append(k)
+            ops = realops.build_kraus(d).operators
+            assert ops.dtype == np.float64 and ops.shape == ((d + 1) // 2, 2, d)
+            assert np.array_equal(ops, np.array(reference))
+
+    def test_operators_are_one_read_only_array(self):
+        given = np.eye(2)[None].copy()
+        ops = realops.RealKrausSet(in_dim=2, out_dim=2, operators=given).operators
+        assert isinstance(ops, np.ndarray) and not ops.flags.writeable
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 0.0
+        assert given.flags.writeable  # the caller's array is copied, not frozen
+        assert not realops.build_kraus(5).operators.flags.writeable
+
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             realops.build_kraus(1)
@@ -154,6 +179,14 @@ class TestApplyKraus:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             realops.apply_kraus(realops.build_kraus(3), None, states.gen_random_density(2, 0))
+
+    def test_both_paths_check_the_alignment_shape(self):
+        kraus = realops.build_kraus(3)
+        rho = states.gen_random_density(3, 0)
+        with pytest.raises(ValueError, match="alignment shape"):
+            realops.apply_kraus(kraus, np.eye(4), rho)
+        with pytest.raises(ValueError, match="alignment shape"):
+            realops.apply_dilation(realops.dilate(kraus), np.eye(4), rho)
 
 
 class TestConvert:

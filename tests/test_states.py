@@ -218,11 +218,6 @@ class TestJson:
         back = states.density_from_json(states.density_to_json(rho))
         np.testing.assert_array_equal(back.matrix, rho.matrix)
 
-    def test_pure_round_trip(self):
-        psi = states.plus_i()
-        back = states.pure_from_json(states.pure_to_json(psi))
-        np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
-
     def test_missing_field_is_format_error(self):
         with pytest.raises(StateFormatError):
             states.density_from_json({"dim": 2, "re": [[1, 0], [0, 0]]})
