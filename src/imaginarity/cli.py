@@ -129,7 +129,7 @@ def _cmd_simulate(args) -> list:
         resource = realops.convert_to_plus_hat(rho).output
     inst = builder(resource=resource)
     verification = gatesim.verify_instance(inst, tolerance=linalg.CHECK_TOL)
-    hs = gatesim.hs_consistency(inst, seed=args.seed)
+    hs = gatesim.hs_consistency(inst)
     return [
         {
             "gadget": args.gadget,
@@ -170,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None, help="output file ('-' = stdout)")
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument("--tolerance", type=float, default=linalg.VERDICT_TOL)
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="imaginarity",
@@ -194,15 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser(
-        "simulate", parents=[out, tolerance, seed], help="run a gate gadget and verify it"
+        "simulate", parents=[out, tolerance], help="run a gate gadget and verify it"
     )
     p.add_argument("gadget", choices=["s", "cs"])
     p.add_argument("--resource", default=None, help="state file to use as the resource")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("gen", parents=[out, seed], help="generate a state file")
+    p = sub.add_parser("gen", parents=[out], help="generate a state file")
     p.add_argument("kind", choices=["random", "max-imaginary", "bloch"])
     p.add_argument("params", nargs="*", help="for bloch: x y z")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--rank", type=int, default=1)
     p.set_defaults(func=_cmd_gen)

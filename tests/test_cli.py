@@ -98,6 +98,7 @@ def test_commands_take_only_the_flags_they_read(capsys, plus_i_file):
         ["gen", "random", "--tolerance", "5"],
         ["classify", plus_i_file, "--seed", "1"],
         ["rigidity", plus_i_file, "--seed", "1"],
+        ["simulate", "s", "--seed", "1"],
     ]
     for argv in unread:
         with pytest.raises(SystemExit) as exc:
@@ -106,7 +107,7 @@ def test_commands_take_only_the_flags_they_read(capsys, plus_i_file):
     assert capsys.readouterr().out == ""
     read = [
         ["classify", plus_i_file, "--tolerance", "1e-6"],
-        ["simulate", "s", "--resource", plus_i_file, "--tolerance", "1e-6", "--seed", "2"],
+        ["simulate", "s", "--resource", plus_i_file, "--tolerance", "1e-6"],
         ["gen", "random", "--seed", "1"],
     ]
     for argv in read:

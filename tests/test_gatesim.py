@@ -21,7 +21,6 @@ from imaginarity.gatesim import (
     hs_consistency,
     phase_rigidity,
     real_target_instance,
-    residual_independence_check,
     rx_from_s,
     s_gadget,
     theorem1_pipeline,
@@ -236,27 +235,38 @@ class TestVerifyInstance:
 
 class TestResiduals:
     def test_s_gadget_catalyst_preserved(self):
-        inst = s_gadget()
-        assert residual_independence_check(inst)
-        report = verify_instance(inst)
+        report = verify_instance(s_gadget())
+        assert report.holds and report.residual_uniform()
         target = states.from_pure(states.plus_i()).matrix
         for r in report.residuals:
             assert np.max(np.abs(r - target)) <= 1e-12
 
     def test_cs_gadget_catalyst_preserved(self):
-        inst = cs_gadget()
-        assert residual_independence_check(inst)
-        report = verify_instance(inst)
+        report = verify_instance(cs_gadget())
+        assert report.holds and report.residual_uniform()
         target = states.from_pure(states.plus_i()).matrix
         for r in report.residuals:
             assert np.max(np.abs(r - target)) <= 1e-12
 
     def test_trivial_instance_residual_is_input(self):
         rho = states.gen_random_density(2, 4)
-        inst = real_target_instance(rho, H)
-        assert residual_independence_check(inst)
-        report = verify_instance(inst)
+        report = verify_instance(real_target_instance(rho, H))
+        assert report.holds and report.residual_uniform()
         np.testing.assert_allclose(report.residuals[0], rho.matrix, atol=1e-12)
+
+    def test_residual_uniform_matches_reference(self):
+        uniform = []
+        for inst in oracle_instances():
+            n, r = inst.data_dim, inst.residual.dim
+            _, residuals = probe_loop(inst)
+            want = all(np.max(np.abs(res - residuals[0])) <= 1e-12 for res in residuals)
+            report = verify_instance(inst)
+            assert report.residuals.shape == (n * n, r, r)
+            assert not report.residuals.flags.writeable
+            assert report.residual_uniform() == want
+            uniform.append(want)
+        # the entangling instances leave a probe-dependent residual
+        assert not all(uniform)
 
     def test_entangling_unitary_fails_before_residual_check(self):
         base = s_gadget()
@@ -275,14 +285,14 @@ class TestResiduals:
         )
         assert not verify_instance(corrupted).holds
         with pytest.raises(ValueError, match="does not verify"):
-            residual_independence_check(corrupted)
+            hs_consistency(corrupted)
 
 
 class TestHsConsistency:
     def test_s_gadget_both_sides_vanish(self):
         rec = hs_consistency(s_gadget())
         assert rec["lhs"] <= 1e-14
-        assert all(r <= 1e-12 for r in rec["rhs_values"])
+        assert all(r <= 1e-12 for r in rec["rhs_range"])
 
     def test_real_resource_real_target(self):
         rho = DensityMatrix(np.full((2, 2), 0.5))  # |+><+|
@@ -296,6 +306,29 @@ class TestHsConsistency:
         rec = hs_consistency(real_target_instance(rho, H))
         assert abs(rec["lhs"] - 0.375) <= 1e-12
         assert rec["max_deviation"] <= 1e-10
+
+
+    @pytest.mark.parametrize("theta", [np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
+    def test_supremum_in_the_interior_of_the_numerical_range(self, theta):
+        # controlled R(theta) on a near-|+i> resource simulates diag(1, e^{i theta});
+        # |<psi|V^T V|psi>| fills [cos(theta), 1], so the largest deviation is
+        # tr[rho rho*] sin^2(theta), reached only by an exact supremum.
+        c, s = np.cos(theta), np.sin(theta)
+        eps = 1e-11
+        plus_i = states.from_pure(states.plus_i()).matrix
+        rho = DensityMatrix((1 - eps) * plus_i + eps * np.eye(2) / 2)
+        inst = SimulationInstance(
+            unitary=np.kron(np.eye(2), np.diag([1.0, 0.0]))
+            + np.kron([[c, s], [-s, c]], np.diag([0.0, 1.0])),
+            resource=rho,
+            ancilla_dim=1,
+            target=np.diag([1.0, np.exp(1j * theta)]),
+            residual=rho,
+            out_ancilla=states.basis_state(1),
+        )
+        rec = hs_consistency(inst)
+        want = measures.overlap_conj(rho) * np.sin(theta) ** 2
+        assert abs(rec["max_deviation"] - want) <= 1e-9 * want
 
 
 class TestPhaseRigidity:
