@@ -143,11 +143,14 @@ def _cmd_simulate(args) -> list:
 
 
 def _cmd_gen(args) -> list:
-    if args.kind == "random":
-        rho = states.gen_random_density(args.dim, args.seed)
-    elif args.kind == "max-imaginary":
-        rho = states.gen_max_imaginary(args.dim, args.rank, args.seed)
-    else:  # bloch
+    try:
+        if args.kind == "random":
+            rho = states.gen_random_density(args.dim, args.seed)
+        elif args.kind == "max-imaginary":
+            rho = states.gen_max_imaginary(args.dim, args.rank, args.seed)
+    except ValueError as exc:  # --dim or --rank out of range: a usage error
+        raise _ParseFailure(str(exc)) from exc
+    if args.kind == "bloch":
         if len(args.params) != 3:
             raise _ParseFailure("gen bloch needs exactly three coordinates: x y z")
         try:

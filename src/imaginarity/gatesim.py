@@ -12,8 +12,10 @@ this module follows it.
 The universal quantifier over |psi> reduces to a finite probe family:
 both sides are linear in |psi><psi|, and the basis vectors together with
 the real and imaginary pairwise superpositions span all Hermitian
-matrices, so these n^2 spanning probes are an exact certificate.  They are
-computed from the images of the matrix units |j><k| in one contraction.
+matrices, so these n^2 spanning probes are an exact certificate.  Per
+probe, lhs - rhs = F M F^dag with a factor F = [K | L] that is linear in
+|psi> (see `verify_instance`), so the n^2 probe factors are sums of the n
+basis factors and one batched product gives every deviation.
 """
 
 from __future__ import annotations
@@ -119,18 +121,6 @@ def _check_instance(inst: SimulationInstance) -> None:
         raise ValueError("target matrix is not unitary")
 
 
-def _pair_probes(m_pp, m_qq, m_qp):
-    """Images of (|p>+|q>)/sqrt2 and (|p>+i|q>)/sqrt2 under a linear map.
-
-    Takes the images of |p><p|, |q><q| and |q><p|; the map must preserve
-    Hermiticity, so that the image of |p><q| is the adjoint of that of
-    |q><p|.  Broadcasts over leading axes.
-    """
-    m_pq = np.swapaxes(m_qp.conj(), -1, -2)
-    base = m_pp + m_qq
-    return 0.5 * (base + m_pq + m_qp), 0.5 * (base - 1j * m_pq + 1j * m_qp)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     holds: bool
@@ -152,66 +142,71 @@ class VerificationReport:
         }
 
 
+def _probe_deviations(inst: SimulationInstance):
+    """lhs - rhs, shape (n^2, N, N), and the residuals, (n^2, r, r), per probe."""
+    u, rho = inst.unitary, inst.resource.matrix
+    big, n, r, d = u.shape[0], inst.data_dim, inst.residual.dim, rho.shape[0]
+    phi = inst.out_ancilla.amplitudes
+    ro = r * phi.size
+    sigma = inst.residual.matrix[:, None, :, None] * np.outer(phi, phi.conj())[None, :, None, :]
+    m = np.zeros((d + ro, d + ro), dtype=complex)
+    m[:d, :d] = rho
+    m[d:, d:] = -sigma.reshape(ro, ro)
+    # Basis factors F_j = [K_j | L_j]: K_j is the columns of U with ancilla
+    # index 0 and data index j, and L_j = I_ro (x) V|j>.
+    f = np.empty((n * n, big, d + ro), dtype=complex)
+    basis = f[:n]
+    basis[:, :, :d] = np.moveaxis(u.reshape(big, d, inst.ancilla_dim, n)[:, :, 0, :], 2, 0)
+    basis[:, :, d:] = (np.eye(ro)[:, None, :] * inst.target.T[:, None, :, None]).reshape(n, big, ro)
+    # The pairs p < q in np.triu_indices order, without its fixed cost.
+    i = np.arange(n)
+    p, q = np.nonzero(i[:, None] < i)
+    pairs = f[n:].reshape(-1, 2, big, d + ro)
+    np.add(basis[p], basis[q], out=pairs[:, 0])
+    np.add(basis[p], 1j * basis[q], out=pairs[:, 1])
+    pairs *= np.sqrt(0.5)
+    fm = f @ m
+    np.conjugate(f, out=f)
+    # Tr_anc,data[K rho K^dag]: the output side splits as (r, big // r).
+    residuals = fm[:, :, :d].reshape(n * n, r, -1) @ f[:, :, :d].reshape(n * n, r, -1).swapaxes(1, 2)
+    return fm @ f.swapaxes(1, 2), residuals
+
+
 def verify_instance(
     inst: SimulationInstance, tolerance: float = linalg.CHECK_TOL
 ) -> VerificationReport:
     """Evaluate both sides of the simulation equation on the spanning probes.
 
-    The probes are the n basis vectors |j> and, for every pair j < k, the
-    superpositions (|j>+|k>)/sqrt2 and (|j>+i|k>)/sqrt2, in that order:
-    `probe_count` is n^2.  Both sides are computed once on the matrix units
-    |j><k| and combined linearly into the probes.  `max_deviation` is the
-    largest entrywise deviation over all probes.  `residuals` is one
-    read-only (n^2, r, r) array: per probe, in probe order, the resource
-    state left after tracing out ancilla and data, for the
-    residual-independence check.
+    The probes are the n basis vectors |j> and then, for every pair j < k in
+    `np.triu_indices` order, (|j>+|k>)/sqrt2 and (|j>+i|k>)/sqrt2:
+    `probe_count` is n^2.  For a probe |psi>, let K = U(. (x) |0> (x) |psi>)
+    (N x R) and L = I_ro (x) V|psi> (N x ro), where sigma = rho' (x) |0'><0'|
+    has dimension ro.  Then lhs - rhs = K rho K^dag - L sigma L^dag
+    = F M F^dag with F = [K | L] and M = rho (+) (-sigma).  F is linear in
+    |psi>, so the probe factors are the same combinations of the basis
+    factors F_j as the probes are of |j>, and one batched product of the
+    (n^2, N, R + ro) factors gives every deviation.
+
+    `max_deviation` is the largest entrywise deviation over all probes.
+    `residuals` is one read-only (n^2, r, r) array: per probe, in probe
+    order, Tr_anc,data[K rho K^dag], the resource state left after tracing
+    out ancilla and data, for the residual-independence check.
+
+    Memory is O(n^2 N^2) complex numbers, since the deviations of all
+    probes are held at once: 1 MB at n = 8, N = 32, the largest size the
+    benchmark runs, and 16 kB for the CLI's largest gadget, controlled-S
+    (n = 4, N = 8).
     """
     _check_instance(inst)
-    u = inst.unitary
-    big, n, r = u.shape[0], inst.data_dim, inst.residual.dim
-    # lhs_jk = U (rho (x) |0><0| (x) |j><k|) U^dag = u_rho[j] @ u_dag[k]: the
-    # input ancilla selects the columns of U with ancilla index 0.
-    cols = u.reshape(big, inst.resource.dim, inst.ancilla_dim, n)[:, :, 0, :]
-    u_rho = np.moveaxis(cols, 2, 0) @ inst.resource.matrix
-    u_dag = cols.conj().transpose(2, 1, 0)
-    # rhs_jk = rho' (x) |0'><0'| (x) V|j><k|V^dag
-    phi = inst.out_ancilla.amplitudes
-    out_state = np.kron(inst.residual.matrix, np.outer(phi, phi.conj()))
-    v = inst.target
-
-    # Row j computes the units |j><k| for k <= j only; both states are
-    # Hermitian, so the images of |k><j| are the adjoints.  Besides the
-    # diagonal, one row of N x N images is alive at a time.
-    diag = np.empty((n, big, big), dtype=complex)
-    reduced = np.empty((n, n, r, r), dtype=complex)  # Tr_anc,data[lhs_jk], k <= j
-    # Per-probe maxima, reduced by np.max so that a NaN deviation propagates
-    # (Python's max(0.0, nan) is 0.0).
-    devs = []
-    for j in range(n):
-        lhs = u_rho[j] @ u_dag[: j + 1]
-        rhs = np.einsum("ab,p,ks->kapbs", out_state, v[:, j], v[:, : j + 1].conj().T)
-        dev = lhs - rhs.reshape(lhs.shape)
-        diag[j] = dev[j]
-        devs.append(np.max(np.abs(dev[j])))
-        if j:
-            for probe in _pair_probes(diag[:j], dev[j], dev[:j]):
-                devs.append(np.max(np.abs(probe)))
-        reduced[j, : j + 1] = np.trace(
-            lhs.reshape(j + 1, r, big // r, r, big // r), axis1=2, axis2=4
-        )
-
-    p, q = np.triu_indices(n, 1)
-    pair_real, pair_imag = _pair_probes(reduced[p, p], reduced[q, q], reduced[q, p])
-    residuals = np.concatenate(
-        [reduced[np.arange(n), np.arange(n)],
-         np.stack([pair_real, pair_imag], axis=1).reshape(-1, r, r)]
-    )
+    # The helper's factors are freed on return, before np.abs allocates, so
+    # the call's peak memory is the deviations and their modulus.
+    dev, residuals = _probe_deviations(inst)
     residuals.setflags(write=False)
-    max_dev = float(np.max(devs))
+    max_dev = float(np.max(np.abs(dev)))  # np.max propagates a NaN deviation
     return VerificationReport(
         holds=max_dev <= tolerance,
         max_deviation=max_dev,
-        probe_count=n * n,
+        probe_count=inst.data_dim**2,
         residuals=residuals,
     )
 

@@ -57,19 +57,22 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.all(np.isfinite(m)):
             raise StateValidationError("density matrix contains non-finite entries")
-        herm = np.max(np.abs(m - m.conj().T), initial=0.0)
+        adj = m.conj().T
+        herm = np.max(np.abs(m - adj), initial=0.0)
         if herm > linalg.CHECK_TOL:
             raise StateValidationError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > linalg.CHECK_TOL:
             raise StateValidationError(f"trace is {tr}, expected 1")
-        h = (m + m.conj().T) / 2
+        h = (m + adj) / 2
+        del adj  # frees d^2 complex numbers before the factorization allocates
+        h.flat[:: m.shape[0] + 1] += linalg.CHECK_TOL
         try:
-            np.linalg.cholesky(h + linalg.CHECK_TOL * np.eye(m.shape[0]))
+            np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
-            min_eig = float(np.min(np.linalg.eigvalsh(h)))
+            min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
             raise StateValidationError(
                 f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
             ) from None

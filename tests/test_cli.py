@@ -186,6 +186,20 @@ class TestGen:
     def test_bad_bloch_params_exit_2(self, capsys):
         assert main(["gen", "bloch", "0", "1"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "random", "--dim", "0"],
+            ["gen", "max-imaginary", "--dim", "4", "--rank", "3"],
+            ["gen", "max-imaginary", "--dim", "1"],
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, capsys, argv):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must" in captured.err
+
 
 class TestRigidity:
     @staticmethod

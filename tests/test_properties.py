@@ -8,13 +8,19 @@ the same verdict, trace norm and fidelity for O rho O^T as for rho.
 
 Both channel paths, the Kraus set and its dilation, must equal the
 operator sum sum_m K_m (O rho O^T) K_m^T for any real Kraus set.
+
+`verify_instance` must agree with the per-probe reference loop on any real
+orthogonal U, entangling ones included, and on the near-threshold states
+its deviation must be half the fidelity deficit 1 - F_I.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_gatesim import probe_loop, random_unitary
 
-from imaginarity import linalg, measures, realops, states
+from imaginarity import gatesim, linalg, measures, realops, states
 from imaginarity.states import DensityMatrix
 
 DIMS = st.integers(min_value=1, max_value=48)
@@ -106,3 +112,47 @@ def test_kraus_and_dilation_paths_equal_the_operator_sum(case):
     assert np.max(np.abs(via_kraus - expected)) <= 1e-12
     assert np.max(np.abs(via_dilation - expected)) <= 1e-12
     assert np.max(np.abs(via_kraus - via_dilation)) <= 1e-12
+
+
+@st.composite
+def entangling_instances(draw):
+    """A random real orthogonal U on [resource 1-3, ancilla 1-2, data 1-5]."""
+    dims = [draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 5))]
+    seed = draw(SEEDS)
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(dims[1]) + 1j * rng.standard_normal(dims[1])
+    return gatesim.SimulationInstance(
+        unitary=random_orthogonal(int(np.prod(dims)), seed).astype(complex),
+        resource=states.gen_random_density(dims[0], seed),
+        ancilla_dim=dims[1],
+        target=random_unitary(dims[2], rng),
+        residual=states.gen_random_density(dims[0], seed + 1),
+        out_ancilla=states.PureState(phi / np.linalg.norm(phi)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(entangling_instances())
+def test_verify_instance_matches_the_probe_loop(inst):
+    n, r = inst.data_dim, inst.residual.dim
+    max_dev, residuals = probe_loop(inst)
+    report = gatesim.verify_instance(inst)
+    assert report.probe_count == n * n
+    assert report.residuals.shape == (n * n, r, r)
+    assert not report.residuals.flags.writeable
+    assert abs(report.max_deviation - max_dev) <= 1e-14
+    for got, want in zip(report.residuals, residuals):
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 8, 16, 64])
+def test_gadget_deviation_is_half_the_fidelity_deficit(d):
+    # rho = (1 - p) sigma + p I/d with tr[rho rho*] = 9e-10, just under
+    # VERDICT_TOL; the S gadget fed its converted state deviates by delta/2.
+    p = 1.0 - np.sqrt(1.0 - 9e-10 * d)
+    sigma = states.gen_max_imaginary(d, 1, d).matrix
+    rho = DensityMatrix((1.0 - p) * sigma + p * np.eye(d) / d)
+    delta = 1.0 - measures.classify(rho).imag_fidelity
+    inst = gatesim.s_gadget(resource=realops.convert_to_plus_hat(rho).output)
+    deviation = gatesim.verify_instance(inst).max_deviation
+    assert abs(deviation - delta / 2) <= 1e-5 * delta / 2
