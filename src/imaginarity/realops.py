@@ -12,11 +12,33 @@ W = sum_m K_m (x) |m>_E completed to a square real orthogonal matrix, with
 the environment initialized to its first basis vector.  `apply_kraus`
 (on the stored operators) and `apply_dilation` (on the dilation's unitary)
 run the same real contraction.
+
+The fixed family depends on d alone, so `build_kraus` builds it once per d
+and hands out that one frozen set, through a bounded LRU cache of 8
+dimensions; the set builds its dilation once, on first use.  This is the
+module's only state, and it is safe to share:
+* bound: 8 dimensions, the least recently used one is dropped first
+  (`build_kraus.cache_clear()` empties the cache);
+* memory: about 16 d^2 bytes per entry (8 d^2 for the operators, 8 d^2
+  for the dilation's unitary once built), 4 MB at d = 512;
+* immutability: the objects are frozen and all their arrays read-only;
+* threads: two threads that miss together build the family (or its
+  dilation) twice, which is harmless, since both results are equal.
+Each d thus pays the completeness check and the orthonormal completion
+once, not once per conversion.  A cold CLI process converts one state, so
+it builds its channel once anyway and gains only the row gather below.
+
+Both channel paths multiply the alignment O by the stacked rows W of the
+channel.  When every row of W has at most one nonzero, as for the fixed
+family (the odd remainder has an empty row, gathered as zero) and its
+dilation, W O is a signed row gather of O rather than a d^3 product.
+That is detected once per channel object; dense sets keep the product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,18 +46,37 @@ from . import linalg
 from .states import DensityMatrix
 
 
+def _one_hot_rows(rows: np.ndarray):
+    """(col, scale) with rows == scale[:, None] * I[col], or None.
+
+    None when some row has more than one nonzero.  An empty row gives
+    column 0 with scale 0.  Both arrays are read-only.
+    """
+    nonzero = rows != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    col = np.argmax(nonzero, axis=1)
+    scale = rows[np.arange(len(rows)), col]
+    col.setflags(write=False)
+    scale.setflags(write=False)
+    return col, scale
+
+
 @dataclass(frozen=True)
 class RealKrausSet:
     """Trace-preserving family of real rectangular Kraus operators.
 
-    `operators` is one read-only float array of shape (m, out_dim, in_dim)."""
+    `operators` is one read-only float array of shape (m, out_dim, in_dim),
+    copied from the input.  Complex input is accepted only if its
+    imaginary parts are at most EXACT_TOL.
+    """
 
     in_dim: int
     out_dim: int
     operators: np.ndarray
 
     def __post_init__(self):
-        ops = np.array(self.operators, dtype=float)
+        ops = np.asarray(self.operators)
         if len(ops) == 0:
             raise ValueError("Kraus set must contain at least one operator")
         if ops.shape[1:] != (self.out_dim, self.in_dim):
@@ -43,12 +84,28 @@ class RealKrausSet:
                 f"operator shape {ops.shape[1:]} inconsistent with "
                 f"({self.out_dim}, {self.in_dim})"
             )
-        stacked = ops.reshape(-1, self.in_dim)
+        stacked = linalg._as_real_matrix(ops.reshape(-1, self.in_dim), "Kraus operators")
         dev = np.max(np.abs(stacked.T @ stacked - np.eye(self.in_dim)))
-        if not dev <= linalg.EXACT_TOL:  # NaN fails too
+        if not dev <= linalg.EXACT_TOL:
             raise ValueError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
+        ops = stacked.reshape(ops.shape).copy()
         ops.setflags(write=False)
         object.__setattr__(self, "operators", ops)
+
+    def _rows(self) -> np.ndarray:
+        """The stacked isometry W: row (o, m) is row o of K_m."""
+        return self.operators.swapaxes(0, 1).reshape(-1, self.in_dim)
+
+    @cached_property
+    def _gather(self):
+        return _one_hot_rows(self._rows())
+
+    @cached_property
+    def _dilation(self) -> "RealDilation":
+        """The dilation `dilate` returns, built on first use."""
+        w = self._rows()
+        unitary = linalg.orthonormal_complete(w)
+        return RealDilation(unitary, env_dim=len(self.operators), pad_dim=len(w) - self.in_dim)
 
     def to_json(self) -> dict:
         return {
@@ -56,14 +113,6 @@ class RealKrausSet:
             "out_dim": self.out_dim,
             "operators": self.operators.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RealKrausSet":
-        return cls(
-            in_dim=int(obj["in_dim"]),
-            out_dim=int(obj["out_dim"]),
-            operators=obj["operators"],
-        )
 
 
 @dataclass(frozen=True)
@@ -73,19 +122,32 @@ class RealDilation:
     `unitary` is the orthonormal completion of the stacked isometry's
     columns; its total dimension is out_dim * env_dim, the input living in
     the first in_dim coordinates (pad_dim extra coordinates stay unused).
-    Row index order is [output system, environment].
+    Row index order is [output system, environment].  It is copied at
+    construction and read-only, so nothing derived from it goes stale.
     """
 
     unitary: np.ndarray
     env_dim: int
     pad_dim: int
 
+    def __post_init__(self):
+        unitary = np.array(linalg._as_real_matrix(self.unitary, "unitary"))
+        unitary.setflags(write=False)
+        object.__setattr__(self, "unitary", unitary)
 
+    @cached_property
+    def _gather(self):
+        return _one_hot_rows(self.unitary[:, : len(self.unitary) - self.pad_dim])
+
+
+@lru_cache(maxsize=8)
 def build_kraus(d: int) -> RealKrausSet:
     """The fixed 0/1-valued Kraus family mapping dimension d to a qubit.
 
     K_m = |1><2m| + |0><2m+1| for m < floor(d/2); odd d adds the rank-1
     remainder |0><d-1|.  Completeness holds exactly (disjoint supports).
+    Every call with the same d returns the same shared, frozen set (see the
+    module docstring for the cache).
     """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
@@ -111,18 +173,34 @@ def align_for_state(rho: DensityMatrix) -> np.ndarray:
     return form.orthogonal[rows]
 
 
-def _compress(w: np.ndarray, align, rho: DensityMatrix) -> DensityMatrix:
+def _aligned_rows(w: np.ndarray, gather, o: np.ndarray) -> np.ndarray:
+    """The stacked rows of w O, shape (out * env, in), bitwise as w @ o gives them.
+
+    `gather` is None or the one-hot form of w's stacked rows (see
+    `_one_hot_rows`), which turns the product into a signed row gather of O.
+    """
+    if gather is None:
+        return (w @ o).reshape(-1, o.shape[1])
+    col, scale = gather
+    rows = o[col]
+    rows *= scale[:, None]
+    rows[scale == 0] = 0.0  # +0, as the product gives, not -0
+    return rows
+
+
+def _compress(w: np.ndarray, gather, align, rho: DensityMatrix) -> DensityMatrix:
     """sum_e V_e rho V_e^T for V = w O, w real of shape (out, env, in).
 
-    O is the real orthogonal `align` (None: identity).  V meets Re(rho) and
-    Im(rho) in two real products, not one product promoted to complex.
+    O is the real orthogonal `align` (None: identity); `gather` is as for
+    `_aligned_rows`.  V meets Re(rho) and Im(rho) in two real products, not
+    one product promoted to complex.
     """
     out, _, d = w.shape
     o = np.eye(d) if align is None else np.asarray(align, dtype=float)
     if o.shape != (d, d):
         raise ValueError(f"alignment shape {o.shape} inconsistent with dimension {d}")
-    v = w @ o
-    rows, flat = v.reshape(-1, d), v.reshape(out, -1)
+    rows = _aligned_rows(w, gather, o)
+    flat = rows.reshape(out, -1)
 
     def block(part):
         return (rows @ part).reshape(out, -1) @ flat.T
@@ -134,7 +212,7 @@ def apply_kraus(kraus: RealKrausSet, align, rho: DensityMatrix) -> DensityMatrix
     """sum_m K_m (O rho O^T) K_m^T for real orthogonal alignment O."""
     if rho.dim != kraus.in_dim:
         raise ValueError(f"state dimension {rho.dim} != Kraus input dimension {kraus.in_dim}")
-    return _compress(kraus.operators.swapaxes(0, 1), align, rho)
+    return _compress(kraus.operators.swapaxes(0, 1), kraus._gather, align, rho)
 
 
 @dataclass(frozen=True)
@@ -164,14 +242,9 @@ def dilate(kraus: RealKrausSet) -> RealDilation:
 
     The environment dimension equals the number of Kraus operators; the
     completion adds pad_dim = out_dim * env_dim - in_dim unused input
-    coordinates.
+    coordinates.  Built once per Kraus set and returned on every call.
     """
-    e = len(kraus.operators)
-    total = kraus.out_dim * e
-    # Row (o, m) of W is row o of K_m.
-    w = kraus.operators.swapaxes(0, 1).reshape(total, kraus.in_dim)
-    unitary = linalg.orthonormal_complete(w)
-    return RealDilation(unitary=unitary, env_dim=e, pad_dim=total - kraus.in_dim)
+    return kraus._dilation
 
 
 def apply_dilation(dilation: RealDilation, align, rho: DensityMatrix) -> DensityMatrix:
@@ -186,4 +259,4 @@ def apply_dilation(dilation: RealDilation, align, rho: DensityMatrix) -> Density
     if rho.dim != d:
         raise ValueError(f"state dimension {rho.dim} != dilation input dimension {d}")
     w = dilation.unitary[:, :d].reshape(total // dilation.env_dim, dilation.env_dim, d)
-    return _compress(w, align, rho)
+    return _compress(w, dilation._gather, align, rho)

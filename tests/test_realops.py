@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from test_properties import random_orthogonal
 
 from imaginarity import linalg, measures, realops, states
 from imaginarity.states import DensityMatrix
@@ -70,11 +71,24 @@ class TestBuildKraus:
             with pytest.raises(ValueError, match="trace preserving"):
                 realops.RealKrausSet(in_dim=2, out_dim=2, operators=ops)
 
+    def test_imaginary_parts_rejected(self):
+        # The realness rule of linalg: |Im| above EXACT_TOL is an error, as
+        # an array and as nested lists; below it the real part is kept.
+        ops = np.eye(2, dtype=complex)[None].copy()
+        ops[0, 0, 1] = 1e-3j
+        for given in (ops, ops.tolist()):
+            with pytest.raises(ValueError, match="real"):
+                realops.RealKrausSet(in_dim=2, out_dim=2, operators=given)
+        ops[0, 0, 1] = 0.5j * linalg.EXACT_TOL
+        kraus = realops.RealKrausSet(in_dim=2, out_dim=2, operators=ops)
+        assert kraus.operators.dtype == np.float64
+        np.testing.assert_array_equal(kraus.operators[0], np.eye(2))
+
     def test_non_finite_operator_rejected(self):
-        obj = realops.build_kraus(4).to_json()
-        obj["operators"][0][1][0] = float("nan")
-        with pytest.raises(ValueError, match="trace preserving"):
-            realops.RealKrausSet.from_json(json.loads(json.dumps(obj)))
+        ops = realops.build_kraus(4).operators.copy()
+        ops[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            realops.RealKrausSet(in_dim=4, out_dim=2, operators=ops)
 
 
 class TestAlignment:
@@ -250,10 +264,92 @@ class TestDilation:
                 assert np.max(np.abs(via_kraus.matrix - via_dilation.matrix)) <= 1e-12
 
 
+class TestSharedChannel:
+    """One frozen channel per dimension, applied as a row gather."""
+
+    def test_one_set_per_dimension_in_a_bounded_cache(self):
+        assert realops.build_kraus(6) is realops.build_kraus(6)
+        assert realops.dilate(realops.build_kraus(6)) is realops.dilate(realops.build_kraus(6))
+        maxsize = realops.build_kraus.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 8
+        for d in range(2, 2 + 2 * maxsize):
+            realops.build_kraus(d)
+        assert realops.build_kraus.cache_info().currsize == maxsize
+
+    def test_cached_dilation_is_read_only_and_equals_a_fresh_completion(self):
+        for d in (2, 3, 8, 17, 64):
+            kraus = realops.build_kraus(d)
+            dil = realops.dilate(kraus)
+            stacked = kraus.operators.swapaxes(0, 1).reshape(-1, d)
+            assert dil.unitary.tobytes() == linalg.orthonormal_complete(stacked).tobytes()
+            arrays = (kraus.operators, dil.unitary, *kraus._gather, *dil._gather)
+            assert not any(a.flags.writeable for a in arrays)
+            with pytest.raises(ValueError):
+                dil.unitary[0, 0] = 2.0
+
+    def test_gather_equals_the_product_bitwise(self):
+        for d in range(2, 49):
+            kraus = realops.build_kraus(d)
+            dil = realops.dilate(kraus)
+            o = random_orthogonal(d, d)
+            rho = states.gen_random_density(d, d)
+            for w, gather in (
+                (kraus.operators.swapaxes(0, 1), kraus._gather),
+                (dil.unitary[:, :d].reshape(2, -1, d), dil._gather),
+            ):
+                assert gather is not None
+                dense = realops._aligned_rows(w, None, o)
+                assert realops._aligned_rows(w, gather, o).tobytes() == dense.tobytes()
+                via_gather = realops._compress(w, gather, o, rho).matrix
+                assert via_gather.tobytes() == realops._compress(w, None, o, rho).matrix.tobytes()
+
+    def test_signed_one_hot_set_is_gathered(self):
+        # Negating rows of the 0/1 family keeps it trace preserving.
+        rng = np.random.default_rng(3)
+        for d in (2, 5, 8, 13):
+            ops = realops.build_kraus(d).operators * rng.choice([-1.0, 1.0], size=(1, 2, d))
+            kraus = realops.RealKrausSet(d, 2, ops)
+            assert np.any(kraus._gather[1] < 0)
+            rho = states.gen_random_density(d, d)
+            o = random_orthogonal(d, d + 1)
+            sigma = o @ rho.matrix @ o.T
+            expected = sum(k @ sigma @ k.T for k in kraus.operators)
+            dil = realops.dilate(kraus)
+            assert dil._gather is not None
+            for out in (realops.apply_kraus(kraus, o, rho), realops.apply_dilation(dil, o, rho)):
+                assert np.max(np.abs(out.matrix - expected)) <= 1e-12
+
+    def test_dense_set_keeps_the_product(self):
+        # A rotated 0/1 family, and a Hadamard set with two nonzeros per row.
+        d = 6
+        rotated = realops.build_kraus(d).operators @ random_orthogonal(d, 1)
+        hadamard = np.kron(np.eye(d // 2), [[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        rho = states.gen_random_density(d, 2)
+        o = random_orthogonal(d, 3)
+        sigma = o @ rho.matrix @ o.T
+        for kraus in (
+            realops.RealKrausSet(d, 2, rotated),
+            realops.RealKrausSet(d, 2, hadamard.reshape(d // 2, 2, d)),
+        ):
+            assert kraus._gather is None and realops.dilate(kraus)._gather is None
+            expected = sum(k @ sigma @ k.T for k in kraus.operators)
+            assert np.max(np.abs(realops.apply_kraus(kraus, o, rho).matrix - expected)) <= 1e-12
+
+    def test_dilation_unitary_is_copied_and_frozen(self):
+        given = np.array([[0.0, 1.0], [1.0, 0.0]])
+        dil = realops.RealDilation(given, env_dim=1, pad_dim=0)
+        assert given.flags.writeable and not dil.unitary.flags.writeable
+        given[0, 0] = 5.0  # the caller's array is copied, not shared
+        np.testing.assert_array_equal(dil.unitary, [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            dil.unitary[0, 0] = 5.0
+        with pytest.raises(ValueError, match="real"):
+            realops.RealDilation(given * 1j, env_dim=1, pad_dim=0)
+
+
 class TestSerialization:
     def test_kraus_round_trip_bit_exact(self):
         k = realops.build_kraus(5)
-        back = realops.RealKrausSet.from_json(json.loads(json.dumps(k.to_json())))
-        assert back.in_dim == k.in_dim and back.out_dim == k.out_dim
-        for a, b in zip(k.operators, back.operators):
-            np.testing.assert_array_equal(a, b)
+        back = json.loads(json.dumps(k.to_json()))
+        assert back["in_dim"] == k.in_dim and back["out_dim"] == k.out_dim
+        np.testing.assert_array_equal(np.array(back["operators"]), k.operators)
