@@ -16,11 +16,18 @@ matrices, so these n^2 spanning probes are an exact certificate.  Per
 probe, lhs - rhs = F M F^dag with a factor F = [K | L] that is linear in
 |psi> (see `verify_instance`), so the n^2 probe factors are sums of the n
 basis factors and one batched product gives every deviation.
+
+A `SimulationInstance` is immutable, so its probes run once, on the first
+`verify_instance`: it keeps the largest deviation and the residuals, and
+every call, the one inside `hs_consistency` included, applies its own
+tolerance to them.  An invalid instance caches nothing and raises on every
+call; `dataclasses.replace` gives a new instance that verifies afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -77,12 +84,14 @@ def rx(theta: float) -> np.ndarray:
 # --- simulation instances ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationInstance:
     """One concrete realization of the simulation equation.
 
     Register order [resource, ancilla, data]; the input ancilla is fixed to
-    the all-zeros basis state of dimension `ancilla_dim`.
+    the all-zeros basis state of dimension `ancilla_dim`.  `unitary` and
+    `target` are copied to read-only complex arrays at construction.
+    Equality and hashing are by identity.
     """
 
     unitary: np.ndarray
@@ -92,9 +101,27 @@ class SimulationInstance:
     residual: DensityMatrix
     out_ancilla: PureState
 
+    def __post_init__(self):
+        for name in ("unitary", "target"):
+            value = np.array(getattr(self, name), dtype=complex)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
     @property
     def data_dim(self) -> int:
         return self.target.shape[0]
+
+    @cached_property
+    def _deviations(self):
+        """(max_deviation, read-only residuals) over the spanning probes.
+
+        Only these outlive the call: the probe factors are freed on return
+        from `_probe_deviations`, before the modulus allocates.
+        """
+        _check_instance(self)
+        dev, residuals = _probe_deviations(self)
+        residuals.setflags(write=False)
+        return float(np.abs(dev).max()), residuals  # .max() propagates a NaN deviation
 
 
 def _check_instance(inst: SimulationInstance) -> None:
@@ -108,20 +135,24 @@ def _check_instance(inst: SimulationInstance) -> None:
     if inst.residual.dim * inst.out_ancilla.dim * inst.data_dim != n:
         raise ValueError("output-side dimensions inconsistent with the unitary")
     # A NaN fails every `>` test below, so it would pass them unnoticed.
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("instance unitary contains non-finite entries")
-    if not np.all(np.isfinite(inst.target)):
+    if not np.isfinite(inst.target).all():
         raise ValueError("target matrix contains non-finite entries")
-    if np.max(np.abs(u.imag)) > linalg.EXACT_TOL:
+    if np.abs(u.imag).max() > linalg.EXACT_TOL:
         raise ValueError("instance unitary must be real")
-    if np.max(np.abs(u.real.T @ u.real - np.eye(n))) > linalg.EXACT_TOL:
+    gram = u.real.T @ u.real
+    gram.flat[:: n + 1] -= 1.0
+    if np.abs(gram).max() > linalg.EXACT_TOL:
         raise ValueError("instance unitary is not orthogonal")
     v = inst.target
-    if np.max(np.abs(v.conj().T @ v - np.eye(inst.data_dim))) > linalg.EXACT_TOL:
+    gram = v.conj().T @ v
+    gram.flat[:: inst.data_dim + 1] -= 1.0
+    if np.abs(gram).max() > linalg.EXACT_TOL:
         raise ValueError("target matrix is not unitary")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     holds: bool
     max_deviation: float
@@ -195,14 +226,13 @@ def verify_instance(
     Memory is O(n^2 N^2) complex numbers, since the deviations of all
     probes are held at once: 1 MB at n = 8, N = 32, the largest size the
     benchmark runs, and 16 kB for the CLI's largest gadget, controlled-S
-    (n = 4, N = 8).
+    (n = 4, N = 8).  The peak is the deviations and their modulus.
+
+    The probes run once per instance: the instance keeps `max_deviation`
+    and `residuals`, and each call compares them with its own `tolerance`.
+    An invalid instance raises `ValueError` on every call.
     """
-    _check_instance(inst)
-    # The helper's factors are freed on return, before np.abs allocates, so
-    # the call's peak memory is the deviations and their modulus.
-    dev, residuals = _probe_deviations(inst)
-    residuals.setflags(write=False)
-    max_dev = float(np.max(np.abs(dev)))  # np.max propagates a NaN deviation
+    max_dev, residuals = inst._deviations
     return VerificationReport(
         holds=max_dev <= tolerance,
         max_deviation=max_dev,
@@ -222,6 +252,9 @@ def hs_consistency(inst: SimulationInstance) -> dict:
     largest cyclic gap g between neighbouring eigenvalue angles.  The
     deviation |lhs - R t| is convex in t, so its supremum over every |psi>
     is reached at t = low^2 or t = 1, the ends of `rhs_range`.
+
+    The instance must verify at CHECK_TOL, a check that reads the
+    deviations an earlier `verify_instance` cached.
     """
     report = verify_instance(inst)
     if not report.holds:
@@ -242,7 +275,7 @@ def hs_consistency(inst: SimulationInstance) -> dict:
 # --- phase rigidity ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseRigidityResult:
     gram: np.ndarray
     is_phase_multiple_of_identity: bool

@@ -154,7 +154,7 @@ def orthonormal_complete(columns) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewCanonicalForm:
     """Canonical form of a real skew-symmetric matrix A.
 

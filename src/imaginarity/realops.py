@@ -62,7 +62,7 @@ def _one_hot_rows(rows: np.ndarray):
     return col, scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealKrausSet:
     """Trace-preserving family of real rectangular Kraus operators.
 
@@ -115,7 +115,7 @@ class RealKrausSet:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealDilation:
     """Stinespring dilation of a real Kraus set.
 
@@ -215,7 +215,7 @@ def apply_kraus(kraus: RealKrausSet, align, rho: DensityMatrix) -> DensityMatrix
     return _compress(kraus.operators.swapaxes(0, 1), kraus._gather, align, rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConversionResult:
     output: DensityMatrix
     fidelity: float

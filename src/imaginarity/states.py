@@ -42,7 +42,7 @@ def _freeze(obj, field: str, value: np.ndarray) -> None:
     object.__setattr__(obj, field, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
@@ -95,7 +95,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector."""
 

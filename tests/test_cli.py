@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import imaginarity
 from imaginarity import states
 from imaginarity.cli import (
     EXIT_INTERNAL,
@@ -86,6 +90,25 @@ class TestMeasure:
         rec = lines[0]
         assert abs(rec["imag_fidelity"] - 1.0) <= 1e-12
         assert abs(rec["robustness"] - 1.0) <= 1e-12
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # Every cold CLI process pays for what `imaginarity.cli` imports, and
+    # pyproject.toml promises numpy only.  Modules a bare interpreter
+    # already holds (site hooks, for instance) are not the package's.
+    code = (
+        "import sys; before = set(sys.modules); import imaginarity.cli; "
+        "print('\\n'.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = os.path.dirname(os.path.dirname(imaginarity.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert {"imaginarity", "numpy"} <= loaded
+    assert sorted(loaded - {"imaginarity", "numpy"} - set(sys.stdlib_module_names)) == []
 
 
 def test_commands_take_only_the_flags_they_read(capsys, plus_i_file):

@@ -193,8 +193,10 @@ class TestVerifyInstance:
             residual=base.residual,
             out_ancilla=base.out_ancilla,
         )
-        with pytest.raises(ValueError, match="orthogonal"):
-            verify_instance(bad)
+        # An invalid instance caches nothing, so it raises on every call.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="orthogonal"):
+                verify_instance(bad)
         # Either side of the EXACT_TOL boundary on max |U^T U - I|.
         for factor, accepted in ((0.5, True), (2.0, False)):
             u = base.unitary * np.sqrt(1.0 + factor * linalg.EXACT_TOL)
@@ -209,15 +211,19 @@ class TestVerifyInstance:
         base = s_gadget()
         u = base.unitary.copy()
         u[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            verify_instance(dataclasses.replace(base, unitary=u))
+        bad = dataclasses.replace(base, unitary=u)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                verify_instance(bad)
 
     def test_rejects_nan_in_target(self):
         base = s_gadget()
         v = base.target.copy()
         v[1, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            verify_instance(dataclasses.replace(base, target=v))
+        bad = dataclasses.replace(base, target=v)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                verify_instance(bad)
 
     def test_rejects_dimension_mismatch(self):
         base = s_gadget()
@@ -231,6 +237,92 @@ class TestVerifyInstance:
         )
         with pytest.raises(ValueError, match="dimension"):
             verify_instance(bad)
+
+
+class TestVerifyOnce:
+    @pytest.fixture
+    def probe_calls(self, monkeypatch):
+        calls = []
+        original = gatesim._probe_deviations
+
+        def counting(inst):
+            calls.append(inst)
+            return original(inst)
+
+        monkeypatch.setattr(gatesim, "_probe_deviations", counting)
+        return calls
+
+    def test_probes_run_once_per_instance(self, probe_calls):
+        # a resource 4e-11 from |+i><+i| deviates by 1e-11, between the tolerances
+        plus_i = states.from_pure(states.plus_i()).matrix
+        inst = s_gadget(DensityMatrix((1 - 4e-11) * plus_i + 4e-11 * np.eye(2) / 2))
+        loose = verify_instance(inst)
+        strict = verify_instance(inst, tolerance=linalg.EXACT_TOL)
+        rec = hs_consistency(inst)
+        assert probe_calls == [inst]
+        assert linalg.EXACT_TOL < loose.max_deviation < linalg.CHECK_TOL
+        assert loose.holds and not strict.holds
+        assert strict.max_deviation == loose.max_deviation
+        assert strict.residuals is loose.residuals
+        assert rec["max_deviation"] <= linalg.CHECK_TOL
+
+    def test_replace_recomputes(self, probe_calls):
+        inst = s_gadget()
+        assert verify_instance(inst).holds
+        wrong = dataclasses.replace(inst, target=SDG)
+        assert not verify_instance(wrong).holds
+        assert verify_instance(inst).holds
+        assert probe_calls == [inst, wrong]
+
+    def test_caller_arrays_are_copied(self):
+        base = s_gadget()
+        u, v = np.array(base.unitary), np.array(base.target)
+        inst = dataclasses.replace(base, unitary=u, target=v)
+        u[0, 0] = np.nan
+        v[1, 1] = -1.0
+        assert verify_instance(inst).holds
+        np.testing.assert_array_equal(inst.unitary, base.unitary)
+        np.testing.assert_array_equal(inst.target, S)
+
+    def test_arrays_are_read_only_and_complex(self):
+        inst = real_target_instance(states.gen_random_density(2, 3), H.real)
+        for array in (inst.unitary, inst.target):
+            assert array.dtype == complex
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
+class TestIdentityEquality:
+    """Array-holding results compare and hash by identity, without raising."""
+
+    BUILDERS = {
+        "DensityMatrix": lambda: DensityMatrix(np.eye(2) / 2),
+        "PureState": states.plus_i,
+        "SkewCanonicalForm": lambda: linalg.skew_canonical(gatesim.G.real),
+        "RealKrausSet": lambda: realops.RealKrausSet(4, 2, realops.build_kraus(4).operators),
+        "RealDilation": lambda: realops.RealDilation(np.eye(2), env_dim=1, pad_dim=0),
+        "ConversionResult": lambda: realops.convert_to_plus_hat(states.gen_random_density(3, 1)),
+        "SimulationInstance": s_gadget,
+        "VerificationReport": lambda: verify_instance(s_gadget()),
+        "PhaseRigidityResult": lambda: phase_rigidity(H),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_compares_and_hashes_by_identity(self, name):
+        a, b = self.BUILDERS[name](), self.BUILDERS[name]()
+        assert type(a).__name__ == name
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert a in [b, a] and a not in [b]
+        assert len({a, b, a}) == 2
+
+    def test_gadgets_are_not_members_of_each_other(self):
+        assert s_gadget() not in [cs_gadget()]
+
+    def test_classification_report_keeps_value_equality(self):
+        rho = states.gen_random_density(3, 1)
+        assert measures.classify(rho) == measures.classify(rho)
+        assert hash(measures.classify(rho)) == hash(measures.classify(rho))
 
 
 class TestResiduals:

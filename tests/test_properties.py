@@ -10,9 +10,12 @@ Both channel paths, the Kraus set and its dilation, must equal the
 operator sum sum_m K_m (O rho O^T) K_m^T for any real Kraus set.
 
 `verify_instance` must agree with the per-probe reference loop on any real
-orthogonal U, entangling ones included, and on the near-threshold states
+orthogonal U, entangling ones included, its cached report must equal, bit
+for bit, that of a freshly built equal instance, and on the near-threshold states
 its deviation must be half the fidelity deficit 1 - F_I.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -143,6 +146,17 @@ def test_verify_instance_matches_the_probe_loop(inst):
     assert abs(report.max_deviation - max_dev) <= 1e-14
     for got, want in zip(report.residuals, residuals):
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(entangling_instances(), st.sampled_from([0.0, linalg.EXACT_TOL, linalg.CHECK_TOL, 1.0]))
+def test_cached_report_equals_a_fresh_one(inst, tolerance):
+    gatesim.verify_instance(inst)
+    cached = gatesim.verify_instance(inst, tolerance)
+    fresh = gatesim.verify_instance(dataclasses.replace(inst), tolerance)
+    assert (cached.holds, cached.probe_count) == (fresh.holds, fresh.probe_count)
+    assert np.float64(cached.max_deviation).tobytes() == np.float64(fresh.max_deviation).tobytes()
+    assert cached.residuals.tobytes() == fresh.residuals.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 8, 16, 64])
