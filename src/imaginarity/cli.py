@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Commands: classify, measure, convert, simulate, gen, rigidity.  States are
-read and written in the canonical JSON format of `states`; reports are
-emitted as JSON lines so batch runs compose with shell tooling.
+Commands: classify, measure, convert, simulate, gen, rigidity.  States and
+the unitaries of `rigidity` are read by one loader, `_load`, through the
+one grammar `states.matrix_from_json`; arguments are typed by argparse.
+Reports are emitted as strict JSON lines (no NaN or infinity) so batch
+runs compose with shell tooling.
 
-Exit codes: 0 success, 1 internal error, 2 parse error, 3 state-invariant
+Exit codes: 0 success, 1 internal error, 2 parse error (an unreadable,
+undecodable or malformed input file, an unwritable --out, a --tolerance
+that is not finite and >= 0, or any other usage error), 3 state-invariant
 violation, 4 zero-resource refusal.
 """
 
@@ -35,49 +39,42 @@ class _ZeroResourceRefusal(Exception):
         self.payload = payload
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """parse() of the JSON in the file at `path`; every format failure is exit 2."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+            obj = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise _ParseFailure(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _ParseFailure(f"{path}: malformed JSON: {exc}") from exc
-
-
-def _load_state(path: str) -> states.DensityMatrix:
-    obj = _load_json(path)
     try:
-        return states.density_from_json(obj)
+        return parse(obj)
     except states.StateFormatError as exc:
         raise _ParseFailure(f"{path}: {exc}") from exc
 
 
-def _load_unitary(path: str) -> np.ndarray:
-    obj = _load_json(path)
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _ParseFailure(f"{path}: expected fields dim/re/im") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise _ParseFailure(f"{path}: re/im must be {dim}x{dim} arrays")
-    return re + 1j * im
-
-
 def _emit(lines, out_path):
-    text = "\n".join(json.dumps(line) for line in lines) + "\n"
+    text = "\n".join(json.dumps(line, allow_nan=False) for line in lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _ParseFailure(f"{out_path}: {exc}") from exc
+
+
+def _tolerance(text: str) -> float:
+    """The type of --tolerance: a finite number >= 0."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _cmd_classify(args) -> list:
     return [
-        measures.classify(_load_state(path), tolerance=args.tolerance).to_json()
+        measures.classify(_load(path, states.density_from_json), args.tolerance).to_json()
         for path in args.paths
     ]
 
@@ -86,13 +83,13 @@ def _cmd_measure(args) -> list:
     keys = ("overlap_conj", "imag_trace_norm", "imag_fidelity", "robustness")
     lines = []
     for path in args.paths:
-        report = measures.classify(_load_state(path)).to_json()
+        report = measures.classify(_load(path, states.density_from_json)).to_json()
         lines.append({key: report[key] for key in keys})
     return lines
 
 
 def _cmd_convert(args) -> list:
-    rho = _load_state(args.path)
+    rho = _load(args.path, states.density_from_json)
     result = realops.convert_to_plus_hat(rho)
     dilation = realops.dilate(result.kraus)
     n = dilation.unitary.shape[0]
@@ -116,7 +113,7 @@ def _cmd_simulate(args) -> list:
     builder = builders[args.gadget]
     resource = None
     if args.resource is not None:
-        rho = _load_state(args.resource)
+        rho = _load(args.resource, states.density_from_json)
         report = measures.classify(rho, tolerance=args.tolerance)
         if report.verdict != measures.UNIVERSAL:
             raise _ZeroResourceRefusal(
@@ -153,16 +150,12 @@ def _cmd_gen(args) -> list:
     if args.kind == "bloch":
         if len(args.params) != 3:
             raise _ParseFailure("gen bloch needs exactly three coordinates: x y z")
-        try:
-            x, y, z = (float(p) for p in args.params)
-        except ValueError as exc:
-            raise _ParseFailure(f"bloch coordinates must be numbers: {exc}") from exc
-        rho = states.state_of(states.BlochVector(x, y, z))
+        rho = states.state_of(states.BlochVector(*args.params))
     return [states.density_to_json(rho)]
 
 
 def _cmd_rigidity(args) -> list:
-    v = _load_unitary(args.path)
+    v = _load(args.path, states.matrix_from_json)
     result = gatesim.phase_rigidity(v, tolerance=args.tolerance)
     return [result.to_json()]
 
@@ -172,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output file ('-' = stdout)")
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--tolerance", type=float, default=linalg.VERDICT_TOL)
+    tolerance.add_argument("--tolerance", type=_tolerance, default=linalg.VERDICT_TOL)
 
     parser = argparse.ArgumentParser(
         prog="imaginarity",
@@ -203,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[out], help="generate a state file")
     p.add_argument("kind", choices=["random", "max-imaginary", "bloch"])
-    p.add_argument("params", nargs="*", help="for bloch: x y z")
+    p.add_argument("params", nargs="*", type=float, help="for bloch: x y z")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--rank", type=int, default=1)
@@ -221,21 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        lines = args.func(args)
+        try:
+            lines, code = args.func(args), EXIT_OK
+        except _ZeroResourceRefusal as exc:
+            lines, code = [exc.payload], EXIT_ZERO_RESOURCE
+        _emit(lines, args.out)
+        return code
     except _ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except states.StateValidationError as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except _ZeroResourceRefusal as exc:
-        _emit([exc.payload], args.out)
-        return EXIT_ZERO_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(lines, args.out)
-    return EXIT_OK
 
 
 if __name__ == "__main__":

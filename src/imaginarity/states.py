@@ -13,9 +13,11 @@ first use, which every measure and the optimal alignment read.
 All randomness goes through ``numpy.random.default_rng`` (PCG64, 64-bit
 seedable); every stochastic generator takes an explicit seed.
 
-Canonical JSON format of a density matrix (used by the CLI and all
-serializers): ``{"dim": d, "re": [[...]], "im": [[...]]}`` with `re` and
-`im` d x d arrays of reals.
+Canonical JSON format of a matrix (used by the CLI and all serializers):
+``{"dim": d, "re": [[...]], "im": [[...]]}`` with `dim` a positive JSON
+integer and `re` and `im` d x d arrays of reals.  `matrix_from_json` is
+the one reader of this grammar; the CLI reads density matrices and the
+unitaries of `rigidity` through it.
 """
 
 from __future__ import annotations
@@ -241,15 +243,22 @@ def density_to_json(rho: DensityMatrix) -> dict:
     }
 
 
-def density_from_json(obj) -> DensityMatrix:
+def matrix_from_json(obj) -> np.ndarray:
+    """``re + 1j * im`` of a ``{dim, re, im}`` object, checking the format only.
+
+    `dim` must be a positive JSON integer; a bool, float or string is
+    rejected, not coerced.  Whether the matrix is a state, a unitary or
+    even finite is for the caller to decide.
+    """
     if not isinstance(obj, dict):
-        raise StateFormatError("state JSON must be an object")
-    try:
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFormatError("field 'dim' missing or not an integer") from exc
+        raise StateFormatError("matrix JSON must be an object")
+    dim = obj.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise StateFormatError("field 'dim' missing or not an integer")
     if dim < 1:
         raise StateFormatError(f"field 'dim' must be positive, got {dim}")
-    re = _real_grid(obj, "re", dim)
-    im = _real_grid(obj, "im", dim)
-    return DensityMatrix(re + 1j * im)
+    return _real_grid(obj, "re", dim) + 1j * _real_grid(obj, "im", dim)
+
+
+def density_from_json(obj) -> DensityMatrix:
+    return DensityMatrix(matrix_from_json(obj))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import imaginarity
-from imaginarity import states
+from imaginarity import cli, states
 from imaginarity.cli import (
     EXIT_INTERNAL,
     EXIT_INVARIANT,
@@ -81,6 +81,98 @@ class TestClassify:
             json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})
         )
         assert main(["classify", str(bad)]) == EXIT_INVARIANT
+
+
+MIXED_QUBIT = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+NAN_ENTRY = '{"dim": 1, "re": [[NaN]], "im": [[0]]}'
+BLOCH = ["gen", "bloch", "0", "1", "0"]
+
+#: case -> (argv, contents of the input file {file}, documented exit code);
+#: {dir} is a scratch directory.
+MALFORMED = {
+    "state_not_utf8": (["classify", "{file}"], b"\xff\xfe{}", EXIT_PARSE),
+    "unitary_not_utf8": (["rigidity", "{file}"], b"\xff\xfe{}", EXIT_PARSE),
+    "state_too_deep": (["classify", "{file}"], "[" * 100000 + "]" * 100000, EXIT_PARSE),
+    "unitary_too_deep": (["rigidity", "{file}"], "[" * 100000 + "]" * 100000, EXIT_PARSE),
+    "dim_of_5000_digits": (["classify", "{file}"], '{"dim": ' + "9" * 5000 + "}", EXIT_PARSE),
+    "missing_file": (["classify", "{dir}/missing.json"], None, EXIT_PARSE),
+    "unitary_not_an_object": (["rigidity", "{file}"], [1, 2], EXIT_PARSE),
+    **{
+        f"{command}_dim_{name}": ([command, "{file}"], dict(MIXED_QUBIT, dim=dim), EXIT_PARSE)
+        for command in ("classify", "rigidity")
+        for name, dim in (("float", 2.7), ("bool", True), ("string", "2"))
+    },
+    "nan_in_state": (["classify", "{file}"], NAN_ENTRY, EXIT_INVARIANT),
+    "out_is_a_directory": ([*BLOCH, "--out", "{dir}"], None, EXIT_PARSE),
+    "out_in_a_missing_directory": ([*BLOCH, "--out", "{dir}/missing/x.json"], None, EXIT_PARSE),
+    "refusal_out_is_a_directory": (
+        ["simulate", "cs", "--resource", "{file}", "--out", "{dir}"],
+        MIXED_QUBIT,
+        EXIT_PARSE,
+    ),
+    **{
+        f"classify_tolerance_{value}": (
+            ["classify", "{file}", f"--tolerance={value}"],
+            MIXED_QUBIT,
+            EXIT_PARSE,
+        )
+        for value in ("nan", "inf", "-inf", "-1", "-0.5e-9", "abc")
+    },
+    "rigidity_tolerance_nan": (
+        ["rigidity", "{file}", "--tolerance", "nan"],
+        {"dim": 1, "re": [[1.0]], "im": [[0.0]]},
+        EXIT_PARSE,
+    ),
+    "simulate_tolerance_inf": (
+        ["simulate", "s", "--resource", "{file}", "--tolerance", "inf"],
+        MIXED_QUBIT,
+        EXIT_PARSE,
+    ),
+    "bloch_not_a_number": (["gen", "bloch", "0", "x", "0"], None, EXIT_PARSE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_gets_its_documented_exit_code(capsys, tmp_path, case):
+    template, contents, expected = MALFORMED[case]
+    path = tmp_path / "in.json"
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    elif contents is not None:
+        path.write_text(contents if isinstance(contents, str) else json.dumps(contents))
+    argv = [arg.format(file=path, dir=tmp_path) for arg in template]
+    try:
+        code = main(argv)
+        prefix = "error: "
+    except SystemExit as exc:  # an argparse usage error; any other exception fails
+        code = exc.code
+        prefix = "usage:"
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    if "--out" in argv and prefix == "error: ":
+        assert captured.err.startswith(f"error: {argv[argv.index('--out') + 1]}: ")
+
+
+def test_tolerance_zero_is_valid(capsys, plus_i_file, tmp_path):
+    code, lines = run(capsys, "classify", plus_i_file, "--tolerance", "0")
+    assert code == EXIT_OK
+    assert lines[0]["tolerance"] == 0.0
+    identity = tmp_path / "id.json"
+    identity.write_text(json.dumps({"dim": 1, "re": [[1.0]], "im": [[0.0]]}))
+    code, lines = run(capsys, "rigidity", str(identity), "--tolerance", "0")
+    assert code == EXIT_OK
+    assert lines[0]["is_phase_multiple_of_identity"]
+
+
+def test_a_non_finite_result_is_an_internal_error_not_invalid_json(capsys, monkeypatch, plus_i_file):
+    # JSON has no NaN (RFC 8259), so a line holding one is never printed.
+    monkeypatch.setattr(cli, "_cmd_measure", lambda args: [{"robustness": float("nan")}])
+    assert main(["measure", plus_i_file]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 class TestMeasure:

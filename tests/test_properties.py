@@ -170,3 +170,33 @@ def test_gadget_deviation_is_half_the_fidelity_deficit(d):
     inst = gatesim.s_gadget(resource=realops.convert_to_plus_hat(rho).output)
     deviation = gatesim.verify_instance(inst).max_deviation
     assert abs(deviation - delta / 2) <= 1e-5 * delta / 2
+
+
+@st.composite
+def max_imaginary_states(draw):
+    dim = draw(st.integers(min_value=2, max_value=64))
+    rank = draw(st.integers(min_value=1, max_value=dim // 2))
+    return states.gen_max_imaginary(dim, rank, draw(SEEDS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(max_imaginary_states())
+@example(states.gen_max_imaginary(64, 32, 0))
+@example(states.gen_max_imaginary(33, 1, 0))
+def test_plus_i_converts_back_to_every_max_imaginary_state(rho):
+    # The reverse direction of "unique up to free operations": with O the
+    # alignment and a_m > 0 the block values of Im(rho), the real Kraus set
+    # K_m = sqrt(2 a_m) O[[2m + 1, 2m]]^T maps |+i> to rho and |-i> to rho*.
+    # The pair order is the alignment's orientation: swapped, the error is 1.
+    o = realops.align_for_state(rho)
+    values = rho.imag_canonical.block_values
+    ops = [
+        np.sqrt(2.0 * a) * o[[2 * m + 1, 2 * m]].T for m, a in enumerate(values) if a > 0
+    ]
+    kraus = realops.RealKrausSet(in_dim=2, out_dim=rho.dim, operators=np.array(ops))
+    bound = 16 * rho.dim * np.finfo(float).eps
+    out = realops.apply_kraus(kraus, None, states.from_pure(states.plus_i()))
+    assert np.max(np.abs(out.matrix - rho.matrix)) <= bound
+    out_conj = realops.apply_kraus(kraus, None, states.from_pure(states.minus_i()))
+    assert np.max(np.abs(out_conj.matrix - rho.matrix.conj())) <= bound
+    assert abs(realops.convert_to_plus_hat(out).fidelity - 1.0) <= bound

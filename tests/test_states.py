@@ -226,6 +226,20 @@ class TestJson:
         with pytest.raises(StateFormatError):
             states.density_from_json({"dim": 2, "re": [[1.0]], "im": [[0.0]]})
 
+    @pytest.mark.parametrize("dim", [2.7, True, "2", None, 0])
+    def test_dim_must_be_a_positive_json_integer(self, dim):
+        # 2.7 was read as 2, true as 1 and "2" as 2: dim is never coerced.
+        obj = {"dim": dim, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(StateFormatError, match="dim"):
+            states.density_from_json(obj)
+
+    def test_matrix_grammar_checks_the_format_only(self):
+        # A unitary is no state; the grammar reads it all the same.
+        s_gate = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 1.0]]}
+        np.testing.assert_array_equal(states.matrix_from_json(s_gate), np.diag([1.0, 1.0j]))
+        with pytest.raises(StateFormatError):
+            states.matrix_from_json([s_gate])
+
     def test_invalid_state_is_validation_error(self):
         obj = {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
         with pytest.raises(StateValidationError):
