@@ -139,12 +139,30 @@ def _cmd_simulate(args) -> list:
     ]
 
 
+#: The arguments each `gen` kind reads; giving it any other is a usage error.
+_GEN_READS = {
+    "random": {"--dim", "--seed"},
+    "max-imaginary": {"--dim", "--rank", "--seed"},
+    "bloch": {"coordinates"},
+}
+
+
 def _cmd_gen(args) -> list:
+    given = {"coordinates": args.params, "--dim": args.dim, "--rank": args.rank, "--seed": args.seed}
+    unread = [
+        name
+        for name, value in given.items()
+        if value not in (None, []) and name not in _GEN_READS[args.kind]
+    ]
+    if unread:
+        raise _ParseFailure(f"gen {args.kind} does not take {', '.join(unread)}")
+    dim = 2 if args.dim is None else args.dim
+    seed = 0 if args.seed is None else args.seed
     try:
         if args.kind == "random":
-            rho = states.gen_random_density(args.dim, args.seed)
+            rho = states.gen_random_density(dim, seed)
         elif args.kind == "max-imaginary":
-            rho = states.gen_max_imaginary(args.dim, args.rank, args.seed)
+            rho = states.gen_max_imaginary(dim, 1 if args.rank is None else args.rank, seed)
     except ValueError as exc:  # --dim or --rank out of range: a usage error
         raise _ParseFailure(str(exc)) from exc
     if args.kind == "bloch":
@@ -196,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[out], help="generate a state file")
     p.add_argument("kind", choices=["random", "max-imaginary", "bloch"])
-    p.add_argument("params", nargs="*", type=float, help="for bloch: x y z")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("params", nargs="*", type=float, help="bloch only: x y z")
+    p.add_argument("--seed", type=int, help="random and max-imaginary (default 0)")
+    p.add_argument("--dim", type=int, help="random and max-imaginary (default 2)")
+    p.add_argument("--rank", type=int, help="max-imaginary only (default 1)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(

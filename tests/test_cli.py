@@ -129,6 +129,12 @@ MALFORMED = {
         EXIT_PARSE,
     ),
     "bloch_not_a_number": (["gen", "bloch", "0", "x", "0"], None, EXIT_PARSE),
+    "gen_random_with_coordinates": (["gen", "random", "0.5", "7", "--dim", "2"], None, EXIT_PARSE),
+    "gen_bloch_with_flags": (
+        [*BLOCH, "--dim", "7", "--rank", "3", "--seed", "4"],
+        None,
+        EXIT_PARSE,
+    ),
 }
 
 
@@ -314,6 +320,30 @@ class TestGen:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "must" in captured.err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "random", "--rank", "1"],
+            ["gen", "random", "0", "1", "0"],
+            ["gen", "max-imaginary", "0", "1", "0", "--dim", "4"],
+            ["gen", "bloch", "0", "1", "0", "--seed", "0"],
+        ],
+    )
+    def test_arguments_the_kind_does_not_read_exit_2(self, capsys, argv):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: gen {argv[1]} does not take ")
+
+    def test_absent_flags_keep_their_defaults(self, capsys):
+        assert run(capsys, "gen", "random") == run(
+            capsys, "gen", "random", "--dim", "2", "--seed", "0"
+        )
+        assert run(capsys, "gen", "max-imaginary") == run(
+            capsys, "gen", "max-imaginary", "--dim", "2", "--rank", "1", "--seed", "0"
+        )
 
 
 class TestRigidity:

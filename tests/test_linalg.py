@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from imaginarity import linalg
+from imaginarity import cli, linalg
+from imaginarity.states import DensityMatrix, StateValidationError
 
 Z = np.diag([1, -1]).astype(complex)
 
@@ -247,3 +249,177 @@ class TestSkewCanonical:
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError, match="skew"):
             linalg.skew_canonical(np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# the tiled symmetric-part pass and the cut rule, against the whole-matrix
+# formulas they replace
+
+TILE_DIMS = (1, 2, 3, 63, 64, 65, 127, 128, 129, 257)
+
+
+def whole_hermitian_part(m):
+    """max |m - m^dag| and (m + m^dag) / 2 by whole-matrix transposes."""
+    adj = m.conj().T
+    return np.max(np.abs(m - adj), initial=0.0), (m + adj) / 2
+
+
+def whole_skew_part(a):
+    """max |a + a^T| and (a - a^T) / 2 by whole-matrix transposes."""
+    return np.max(np.abs(a + a.T), initial=0.0), (a - a.T) / 2
+
+
+def near_hermitian(d, rng):
+    """Hermitian up to 1e-12, with exact and signed zeros among its entries.
+
+    Its real rows make zero pairs of the imaginary part, where mirroring a
+    finished tile instead of computing its partner would flip zero signs.
+    """
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g + g.conj().T + 1e-12 * rng.standard_normal((d, d))
+    m.imag[: d // 3] = 0.0
+    m.imag[:, : d // 3] = 0.0
+    m.real[d // 2] = -0.0
+    m.imag[-1, :: 2] = -0.0
+    return m
+
+
+def assert_bitwise(got, expected):
+    dev, part = got
+    assert dev == expected[0]
+    assert part.dtype == expected[1].dtype and part.shape == expected[1].shape
+    assert part.tobytes() == expected[1].tobytes()  # tells -0.0 from +0.0
+
+
+class TestSymmetricPart:
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_hermitian_part_is_bitwise_the_whole_matrix_formula(self, d):
+        m = near_hermitian(d, np.random.default_rng(d))
+        assert_bitwise(linalg._symmetric_part(m), whole_hermitian_part(m))
+        if d > 1:  # and an exactly Hermitian input, of deviation zero
+            m = (m + m.conj().T) / 2
+            assert_bitwise(linalg._symmetric_part(m), whole_hermitian_part(m))
+            assert linalg._hermitian_part(m).tobytes() == whole_hermitian_part(m)[1].tobytes()
+
+    @pytest.mark.parametrize("d", TILE_DIMS)
+    def test_skew_part_is_bitwise_the_whole_matrix_formula(self, d):
+        m = near_hermitian(d, np.random.default_rng(100 + d))
+        strided = m.imag  # a view with twice the element stride, as DensityMatrix passes it
+        for a in (strided, np.ascontiguousarray(strided), -strided.T):
+            assert_bitwise(linalg._symmetric_part(a, skew=True), whole_skew_part(a))
+
+    @pytest.mark.parametrize(
+        "big, small",
+        [((3, 190), (70, 75)), ((190, 3), (70, 75)), ((140, 130), (190, 3))],
+        ids=["upper tile", "lower tile", "diagonal tile"],
+    )
+    def test_largest_deviation_planted_in_one_tile(self, big, small):
+        # a smaller deviation elsewhere, so the pass must compare tiles
+        d = 200
+        m = np.eye(d, dtype=complex) / d
+        m[small] += 4e-4
+        m[big] += 1e-3j
+        dev = whole_hermitian_part(m)[0]
+        assert linalg._symmetric_part(m)[0] == dev == 1e-3
+        with pytest.raises(StateValidationError) as exc:
+            DensityMatrix(m)
+        assert str(exc.value) == f"not Hermitian: max |m - m^dag| = {dev:.3e}"
+        with pytest.raises(ValueError) as exc:
+            linalg.hermitian_eig(m)
+        assert str(exc.value) == f"matrix is not Hermitian (max deviation {dev:.3e})"
+
+        a = np.zeros((d, d))
+        a[small] = 4e-4
+        a[big] = 1e-3
+        dev = whole_skew_part(a)[0]
+        assert linalg._symmetric_part(a, skew=True)[0] == dev == 1e-3
+        with pytest.raises(ValueError) as exc:
+            linalg.skew_canonical(a)
+        assert str(exc.value) == f"matrix is not skew-symmetric (max deviation {dev:.3e})"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(5, 150), (150, 5)], ids=["upper tile", "lower tile"])
+    def test_non_finite_entry_in_an_off_diagonal_tile(self, capsys, tmp_path, bad, where):
+        d = 160
+        m = np.eye(d, dtype=complex) / d
+        m[where] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityMatrix(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.hermitian_eig(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.skew_canonical(m.real)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": d, "re": m.real.tolist(), "im": m.imag.tolist()}))
+        assert cli.main(["classify", str(path)]) == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+
+def accumulate_cuts(t, cutoff):
+    """The 2-D maximum.accumulate rule `_cuts` replaces, as an oracle."""
+    d = t.shape[0]
+    tail = np.maximum.accumulate(np.abs(t)[:, ::-1], axis=1)[:, ::-1]
+    coupling = np.diagonal(np.maximum.accumulate(tail, axis=0), offset=1)
+    return (np.flatnonzero(d * coupling <= cutoff) + 1).tolist()
+
+
+def rotated(a):
+    """T = Q^T A Q and the cutoff, formed as skew_canonical forms them."""
+    a = (a - a.T) / 2
+    g, q = np.linalg.eigh(a.T @ a)
+    q = q[:, ::-1]
+    return q.T @ a @ q, linalg.EXACT_TOL * max(1.0, float(np.sqrt(max(g[-1], 0.0))))
+
+
+def block_spectrum(values, d):
+    t = np.zeros((d, d))
+    idx = 2 * np.arange(len(values))
+    t[idx, idx + 1] = -np.asarray(values)
+    t[idx + 1, idx] = values
+    return t
+
+
+class TestCuts:
+    def test_matches_the_accumulate_rule_on_the_sweep(self):
+        cut = kept = 0
+        for a in skew_sweep_inputs():
+            t, cutoff = rotated(a)
+            cuts = accumulate_cuts(t, cutoff)
+            assert linalg._cuts(t, cutoff) == cuts
+            cut, kept = cut + len(cuts), kept + len(t) - 1 - len(cuts)
+        assert cut > 400 and kept > 400  # both outcomes are exercised
+
+    @pytest.mark.parametrize("d", [2, 3, 11, 64, 129])
+    @pytest.mark.parametrize("factor", [1 - 1e-6, 1 + 1e-6], ids=["below", "above"])
+    def test_one_planted_coupling_across_a_boundary(self, d, factor):
+        values = [0.5, 0.3, 0.3, 1e-3, 2e-12][: d // 2]
+        t = block_spectrum(values, d)
+        cutoff = linalg.EXACT_TOL * 0.5
+        free = accumulate_cuts(t, cutoff)
+        # every block its own cluster, every zero row past them too
+        assert free == [b for b in range(1, d) if b % 2 == 0 or b > 2 * len(values)]
+        for b in free:
+            for i, k in ((b - 1, b), (0, d - 1), (b - 2, b + 1)):
+                if not (0 <= i < b <= k < d):
+                    continue
+                planted = t.copy()
+                planted[i, k] = factor * cutoff / d
+                planted[k, i] = -planted[i, k]
+                cuts = linalg._cuts(planted, cutoff)
+                assert cuts == accumulate_cuts(planted, cutoff)
+                crossed = [c for c in range(1, d) if i < c <= k]
+                if factor > 1:  # coupled: no cut between i and k survives
+                    assert not set(cuts) & set(crossed)
+                else:
+                    assert cuts == free
+
+    def test_nan_counts_as_coupled_as_before(self):
+        t = block_spectrum([0.5, 0.25, 0.1], 7)
+        t[1, 4] = np.nan
+        assert linalg._cuts(t, 1e-12) == accumulate_cuts(t, 1e-12) == [6]
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_no_boundary_below_two(self, d):
+        assert linalg._cuts(np.zeros((d, d)), 1e-12) == []
