@@ -82,7 +82,7 @@ def _as_real_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 

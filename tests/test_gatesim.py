@@ -292,6 +292,134 @@ class TestVerifyOnce:
                 array[0, 0] = 0.0
 
 
+class TestFixedPartCache:
+    """The unitary's checks, probe factors and `low` are cached by content."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        gatesim._fixed_part.cache_clear()
+
+    @staticmethod
+    def info():
+        return gatesim._fixed_part.cache_info()
+
+    @staticmethod
+    def outputs(inst):
+        """Every output of an instance, as bytes."""
+        dev, residuals = gatesim._probe_deviations(inst)
+        report = verify_instance(inst)
+        hs = hs_consistency(inst)
+        return (
+            dev.tobytes(),
+            residuals.tobytes(),
+            report.residuals.tobytes(),
+            np.array([report.max_deviation, hs["lhs"], *hs["rhs_range"], hs["max_deviation"]]).tobytes(),
+        )
+
+    def test_bound_is_eight(self):
+        assert self.info().maxsize == 8
+
+    def test_equal_content_shares_one_entry(self):
+        for d, rank, seed in ((2, 1, 0), (4, 2, 1), (6, 1, 2), (8, 3, 3), (16, 5, 4)):
+            assert theorem1_pipeline(states.gen_max_imaginary(d, rank, seed)).gadget_verified
+        info = self.info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+
+    def test_target_one_ulp_away_gets_its_own_entry(self):
+        v = S.copy()
+        v[1, 1] = 1j * np.nextafter(1.0, 2.0)
+        exact, nudged = s_gadget(), dataclasses.replace(s_gadget(), target=v)
+        dev_exact = gatesim._probe_deviations(exact)[0]
+        dev_nudged = gatesim._probe_deviations(nudged)[0]
+        info = self.info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert nudged._fixed[0] is not exact._fixed[0]
+        assert dev_nudged.tobytes() != dev_exact.tobytes()
+        assert verify_instance(nudged).max_deviation > verify_instance(exact).max_deviation
+
+    @pytest.mark.parametrize(
+        "field, spoil, match",
+        [("unitary", "nan", "non-finite"), ("unitary", "halve", "orthogonal"), ("target", "nan", "non-finite")],
+    )
+    def test_invalid_instance_raises_on_every_call_and_leaves_no_entry(self, field, spoil, match):
+        base = s_gadget()
+        array = getattr(base, field).copy()
+        if spoil == "nan":
+            array[0, 0] = np.nan
+        else:
+            array *= 0.5
+        bad = dataclasses.replace(base, **{field: array})
+        for call in (verify_instance, verify_instance, hs_consistency):
+            with pytest.raises(ValueError, match=match):
+                call(bad)
+        info = self.info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 0)
+
+    def test_replace_recomputes_the_deviations_of_a_shared_entry(self):
+        inst = s_gadget()
+        assert verify_instance(inst).holds
+        zero = states.from_pure(states.basis_state(2))
+        real = dataclasses.replace(inst, resource=zero, residual=zero)
+        assert not verify_instance(real).holds
+        assert real._fixed is inst._fixed
+        info = self.info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_warm_results_equal_cold_results_bitwise(self):
+        rho = states.gen_random_density(3, 5)
+        rng = np.random.default_rng(5)
+        od, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        orr, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        builders = {
+            "s": lambda: s_gadget(realops.convert_to_plus_hat(states.gen_max_imaginary(4, 2, 3)).output),
+            "cs": cs_gadget,
+            "real_target": lambda: real_target_instance(rho, od, orr),
+        }
+        for name, build in builders.items():
+            build()._fixed
+            warm = self.outputs(build())
+            cz_warm = cz_from_cs()
+            assert self.info().hits >= 1
+            gatesim._fixed_part.cache_clear()
+            cold = self.outputs(build())
+            cz_cold = cz_from_cs()
+            assert warm == cold, name
+            assert cz_warm.max_deviation == cz_cold.max_deviation
+            assert cz_warm.residuals.tobytes() == cz_cold.residuals.tobytes()
+
+    def test_ninth_gadget_evicts_the_least_recently_used_entry(self):
+        rho = states.gen_random_density(2, 1)
+
+        def gadget(k):
+            return real_target_instance(rho, gatesim.ry(0.1 * (k + 1)).real)
+
+        for k in range(8):
+            verify_instance(gadget(k))
+        verify_instance(gadget(0))  # now the most recently used
+        verify_instance(gadget(8))
+        assert self.info().currsize == 8
+        misses = self.info().misses
+        verify_instance(gadget(0))
+        assert self.info().misses == misses
+        verify_instance(gadget(1))
+        assert self.info().misses == misses + 1
+
+    def test_caller_arrays_cannot_reach_a_cached_entry(self):
+        base = s_gadget()
+        u, v = np.array(base.unitary), np.array(base.target)
+        inst = dataclasses.replace(base, unitary=u, target=v)
+        factors, low = inst._fixed
+        before = factors.tobytes()
+        u[:] = np.nan
+        v[:] = 0.0
+        again = s_gadget()
+        assert again._fixed[0] is factors and again._fixed[1] == low
+        assert factors.tobytes() == before
+        assert verify_instance(again).holds
+        with pytest.raises(ValueError, match="read-only"):
+            factors[0, 0, 0] = 1.0
+
+
 class TestIdentityEquality:
     """Array-holding results compare and hash by identity, without raising."""
 
@@ -445,6 +573,11 @@ class TestPhaseRigidity:
         for bad in (np.eye(2) * 0.5, np.array([[np.nan, 0.0], [0.0, 1.0]])):
             with pytest.raises(ValueError, match="unitary"):
                 phase_rigidity(bad)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2,), (2, 2, 2)])
+    def test_rejects_non_square_input(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            phase_rigidity(np.ones(shape))
 
     def test_soundness_against_sampling_oracle(self):
         rng = np.random.default_rng(9)
