@@ -221,7 +221,7 @@ class VerificationReport:
     def residual_uniform(self, tolerance: float = linalg.EXACT_TOL) -> bool:
         # np.max propagates NaN, so a NaN residual reads as not uniform.
         res = self.residuals
-        return bool(np.max(np.abs(res - res[0])) <= tolerance)
+        return bool(np.abs(res - res[0]).max() <= tolerance)
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +239,7 @@ def _probe_deviations(inst: SimulationInstance):
     n2, d, r = f.shape[0], rho.shape[0], inst.residual.dim
     phi = inst.out_ancilla.amplitudes
     ro = r * phi.size
-    sigma = inst.residual.matrix[:, None, :, None] * np.outer(phi, phi.conj())[None, :, None, :]
+    sigma = inst.residual.matrix[:, None, :, None] * (phi[:, None] * phi.conj())[:, None, :]
     m = np.zeros((d + ro, d + ro), dtype=complex)
     m[:d, :d] = rho
     m[d:, d:] = -sigma.reshape(ro, ro)

@@ -29,10 +29,21 @@ the rows (`_cuts`).  At d = 512, on a 2-core Xeon, a canonical form takes
 about 40 ms: about 30 in the real eigh, 6-7 in T = Q^T A Q, 2.5 in A^T A,
 2.2-2.5 in the skew check and symmetrization, 0.5-0.7 in the cuts and
 0.7-0.8 in the final row gather.
+
+At d <= 16 the arithmetic is nearly free and a canonical form costs its
+numpy calls, about a microsecond each: at d = 4 about 25 us, of which
+the real eigh takes 7, the skew check and symmetrization 4.3, the input
+check 2.3, the two products 3, the cuts 2 and the final row gather 2.
+So the glue around them stays in Python where that is cheaper: below
+d = 16 the cuts are scanned from T.tolist() (`_scan_cuts`), the kernel
+rows are ordered from a Python set, and a real 2x2 input takes its
+closed form (`_qubit_canonical`, about 2.5 us against 24).  Each of these
+gives the general path's result bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +64,8 @@ CHECK_TOL = 1e-10
 
 #: Bound on deviations in what the package builds exactly: realness, pure
 #: state norms, Kraus completeness, instance orthogonality and unitarity,
-#: residual uniformity; relative to a_max, the zero cutoff of skew blocks.
+#: residual uniformity; relative to a_max, the zero cutoff of skew blocks;
+#: relative to the bound, the rounding margin of the qubit fast accept.
 EXACT_TOL = 1e-12
 
 
@@ -258,6 +270,12 @@ def _dense_canonical(t: np.ndarray, cutoff: float):
     return w[pos], full.T
 
 
+#: Below this size `_cuts` scans the rows of T in Python: at d = 8 the
+#: scan takes about 3 us against 11 for the numpy passes, which win from
+#: about d = 12 on.  survey_small runs both sides (d <= 8 and d = 16).
+_SCAN_BELOW = 16
+
+
 def _cuts(t: np.ndarray, cutoff: float) -> list:
     """Boundaries b in 1..d-1 with d * |t[i, k]| <= cutoff for all i < b <= k.
 
@@ -267,11 +285,18 @@ def _cuts(t: np.ndarray, cutoff: float) -> list:
     fails the bound, in a column k >= b.  So one pass marks the coupled
     entries, each row keeps its last coupled column (-1 if none), and a
     prefix maximum over the rows tells how far the rows above each
-    boundary reach.  An entry that is NaN counts as coupled.
+    boundary reach.  An entry that is NaN counts as coupled.  Below
+    _SCAN_BELOW the same rule is scanned from `t.tolist()` (`_scan_cuts`),
+    from it on it is numpy passes (`_cut_passes`).
     """
+    if t.shape[0] < _SCAN_BELOW:
+        return _scan_cuts(t.tolist(), cutoff)
+    return _cut_passes(t, cutoff)
+
+
+def _cut_passes(t: np.ndarray, cutoff: float) -> list:
+    """The cuts of `_cuts` from numpy passes over t, for d >= 1."""
     d = t.shape[0]
-    if d < 2:
-        return []
     scaled = np.abs(t)
     scaled *= d
     coupled = ~(scaled <= cutoff)
@@ -279,6 +304,53 @@ def _cuts(t: np.ndarray, cutoff: float) -> list:
     last = np.where(coupled.any(axis=1), d - 1 - coupled[:, ::-1].argmax(axis=1), -1)
     reach = np.maximum.accumulate(last[:-1])
     return (np.flatnonzero(reach < np.arange(1, d)) + 1).tolist()
+
+
+def _scan_cuts(rows: list, cutoff: float) -> list:
+    """The cuts of `_cuts` from the rows of t as lists of floats.
+
+    The running reach is the last coupled column of the rows seen so far.
+    A row is scanned from the right and stops at its first coupled entry,
+    or at the reach or its own diagonal: a column at or left of either
+    cannot move the reach past a boundary still ahead.
+    """
+    d = len(rows)
+    cuts, reach = [], 0
+    for i, row in enumerate(rows[:-1]):
+        for k in range(d - 1, max(reach, i), -1):
+            if not abs(row[k]) * d <= cutoff:  # NaN counts as coupled
+                reach = k
+                break
+        if reach <= i:
+            cuts.append(i + 1)
+    return cuts
+
+
+def _qubit_canonical(rows: list):
+    """The form `skew_canonical` gives a real 2x2 matrix, or None to decide generally.
+
+    `rows` is the matrix as lists of floats.  When it is skew within
+    CHECK_TOL (each |a_ij + a_ji|, which also rules out NaN and inf) and
+    its part A = [[0, -x], [x, 0]] has |x| < 1, the general path's steps
+    are known in closed form: A^T A = x^2 I, whose eigh is exactly
+    (x^2, x^2) with eigenvectors I, so Q = I[:, ::-1], T = [[0, x], [-x, 0]]
+    and the cutoff is EXACT_TOL.  The block is kept when |x| > EXACT_TOL
+    (rows in order when x > 0, swapped when x < 0); otherwise both rows
+    are kernel and Q^T is returned as it is.
+    """
+    (a00, a01), (a10, a11) = rows
+    tol = CHECK_TOL
+    if not (abs(a00 + a00) <= tol and abs(a11 + a11) <= tol and abs(a01 + a10) <= tol):
+        return None
+    x = (a10 - a01) / 2
+    if not abs(x) < 1.0:
+        return None
+    kept = abs(x) > EXACT_TOL
+    return SkewCanonicalForm(
+        block_values=np.array([abs(x) if kept else 0.0]),
+        orthogonal=np.array([[1.0, 0.0], [0.0, 1.0]] if kept and x > 0 else [[0.0, 1.0], [1.0, 0.0]]),
+        residual_dim=0,
+    )
 
 
 def skew_canonical(a) -> SkewCanonicalForm:
@@ -306,12 +378,20 @@ def skew_canonical(a) -> SkewCanonicalForm:
     Blocks above the cutoff are stably sorted by value, largest first; the
     zero rows follow.  A well-separated spectrum costs one real eigh and
     three matrix products; the skew check with the symmetrization and the
-    cut rule are one O(d^2) pass each (`_symmetric_part`, `_cuts`).  The worst case is one cluster spanning the
-    whole matrix (all a_m equal, as for an equal-weight mixture of d/2
-    maximally imaginary pure states), which pays the complex eigh and QR
-    on top of the real eigh.
+    cut rule are one O(d^2) pass each (`_symmetric_part`, `_cuts`, which
+    below d = 16 scans T.tolist() in Python).  The worst case is one
+    cluster spanning the whole matrix (all a_m equal, as for an
+    equal-weight mixture of d/2 maximally imaginary pure states), which
+    pays the complex eigh and QR on top of the real eigh.  A real 2x2
+    input that is skew within CHECK_TOL and whose block value is below 1
+    skips all of this: `_qubit_canonical` writes down the same result.
     """
-    A = _as_real_matrix(a)
+    A = np.asarray(a)
+    if A.shape == (2, 2) and A.dtype == np.float64:
+        form = _qubit_canonical(A.tolist())
+        if form is not None:
+            return form
+    A = _as_real_matrix(A)
     _require_square(A)
     skew_dev, A = _symmetric_part(A, skew=True)
     if skew_dev > CHECK_TOL:
@@ -320,7 +400,7 @@ def skew_canonical(a) -> SkewCanonicalForm:
 
     g, q = np.linalg.eigh(A.T @ A)
     q = q[:, ::-1]
-    cutoff = EXACT_TOL * max(1.0, float(np.sqrt(max(g[-1], 0.0) if d else 0.0)))
+    cutoff = EXACT_TOL * max(1.0, math.sqrt(max(float(g[-1]), 0.0) if d else 0.0))
     t = q.T @ A @ q
     o = q.T  # rows of the result; the cluster step rewrites its own rows
     cuts = _cuts(t, cutoff)
@@ -338,10 +418,9 @@ def skew_canonical(a) -> SkewCanonicalForm:
 
     blocks.sort(key=lambda b: -b[0])  # stable: ties keep their order
     top = [r for _, first, second in blocks for r in (first, second)]
-    rest = np.ones(d, dtype=bool)
-    rest[top] = False
+    taken = set(top)
     return SkewCanonicalForm(
         block_values=np.array([b[0] for b in blocks] + [0.0] * ((d - len(top)) // 2)),
-        orthogonal=o[top + np.flatnonzero(rest).tolist()],
+        orthogonal=o[top + [r for r in range(d) if r not in taken]],
         residual_dim=d % 2,
     )

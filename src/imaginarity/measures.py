@@ -45,7 +45,7 @@ def overlap_conj(rho: DensityMatrix) -> float:
     For Hermitian rho, tr[rho rho*] = sum_ij rho_ij^2, an O(d^2) sum.
     """
     m = rho.matrix
-    return float(np.sum(m * m).real)
+    return float((m * m).sum().real)
 
 
 def imaginarity_trace_norm(rho: DensityMatrix) -> float:
@@ -57,7 +57,7 @@ def imaginarity_trace_norm(rho: DensityMatrix) -> float:
     canonical form (`DensityMatrix.imag_canonical`), which the optimal
     alignment reuses.
     """
-    return 4.0 * float(np.sum(rho.imag_canonical.block_values))
+    return 4.0 * float(rho.imag_canonical.block_values.sum())
 
 
 def imaginarity_fidelity(rho: DensityMatrix) -> float:

@@ -33,6 +33,9 @@ channel.  When every row of W has at most one nonzero, as for the fixed
 family (the odd remainder has an empty row, gathered as zero) and its
 dilation, W O is a signed row gather of O rather than a d^3 product.
 That is detected once per channel object; dense sets keep the product.
+So is what the gather may skip: for the fixed family at even d every row
+is a unit row, so the gathered rows are neither scaled nor zeroed, which
+leaves one numpy operation where there were four.
 """
 
 from __future__ import annotations
@@ -47,19 +50,23 @@ from .states import DensityMatrix
 
 
 def _one_hot_rows(rows: np.ndarray):
-    """(col, scale) with rows == scale[:, None] * I[col], or None.
+    """(col, scale, empty) with rows == scale[:, None] * I[col], or None.
 
     None when some row has more than one nonzero.  An empty row gives
-    column 0 with scale 0.  Both arrays are read-only.
+    column 0 with scale 0, and `empty` lists those rows.  What the gather
+    can skip is decided here, once per channel: `scale` is None when every
+    row's nonzero is 1 (no product), and `empty` is None when no row is
+    empty (no fix-up).  The arrays are read-only.
     """
     nonzero = rows != 0
     if np.any(np.count_nonzero(nonzero, axis=1) > 1):
         return None
     col = np.argmax(nonzero, axis=1)
     scale = rows[np.arange(len(rows)), col]
-    col.setflags(write=False)
-    scale.setflags(write=False)
-    return col, scale
+    empty = np.flatnonzero(scale == 0)
+    for a in (col, scale, empty):
+        a.setflags(write=False)
+    return col, None if (scale == 1.0).all() else scale, empty if empty.size else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +153,13 @@ def build_kraus(d: int) -> RealKrausSet:
 
     K_m = |1><2m| + |0><2m+1| for m < floor(d/2); odd d adds the rank-1
     remainder |0><d-1|.  Completeness holds exactly (disjoint supports).
+    At d = 1 the remainder is the whole family: every state goes to |0><0|,
+    at the optimal fidelity 1/2, since a 1x1 state has no imaginarity.
     Every call with the same d returns the same shared, frozen set (see the
     module docstring for the cache).
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     j = np.arange(d)
     row = (j + 1) % 2  # column 2m goes to |1>, column 2m + 1 to |0>
     row[2 * (d // 2):] = 0  # the odd remainder |0><d-1|
@@ -181,10 +190,12 @@ def _aligned_rows(w: np.ndarray, gather, o: np.ndarray) -> np.ndarray:
     """
     if gather is None:
         return (w @ o).reshape(-1, o.shape[1])
-    col, scale = gather
+    col, scale, empty = gather
     rows = o[col]
-    rows *= scale[:, None]
-    rows[scale == 0] = 0.0  # +0, as the product gives, not -0
+    if scale is not None:
+        rows *= scale[:, None]
+    if empty is not None:
+        rows[empty] = 0.0  # +0, as the product gives, not -0
     return rows
 
 

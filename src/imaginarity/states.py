@@ -10,6 +10,15 @@ spectrum is computed only to report a rejection.  A density matrix also
 carries the 2x2-block canonical form of its Im(rho), computed once on
 first use, which every measure and the optimal alignment read.
 
+A qubit, the paper's resource and the output of every optimal
+conversion, is the most frequent state, and at d = 2 the numpy calls of
+the general check cost more than their arithmetic.  So a 2x2 matrix is
+first offered to a fast accept in Python scalars (`_qubit_accepts`),
+which applies the same tests and accepts only what the general check
+(`_validate`) accepts.  It never rejects: anything it does not accept,
+invalid or merely near a bound, goes through the general check, so every
+rejection and its message come from one place.
+
 All randomness goes through ``numpy.random.default_rng`` (PCG64, 64-bit
 seedable); every stochastic generator takes an explicit seed.
 
@@ -44,46 +53,136 @@ def _freeze(obj, field: str, value: np.ndarray) -> None:
     object.__setattr__(obj, field, value)
 
 
+def _entry_bound(d: int) -> float:
+    """Largest |Re| and |Im| an entry of an accepted d x d matrix can have.
+
+    A Hermitian PSD matrix of trace 1 has |rho_ij| <= 1.  The tolerances
+    add at most (d + 2) * CHECK_TOL: d - 1 diagonal entries each down to
+    -CHECK_TOL and the trace up to 1 + CHECK_TOL bound the diagonal by
+    1 + d * CHECK_TOL, the shift adds one more CHECK_TOL to the
+    off-diagonal bound, and the Hermitian deviation half of one.
+    """
+    return 1.0 + (d + 2) * linalg.CHECK_TOL
+
+
+_QUBIT_BOUND = _entry_bound(2)
+
+
+def _qubit_accepts(rows) -> bool:
+    """Whether the 2x2 matrix `rows` (nested lists of complex) surely is a state.
+
+    The tests of `_validate` in Python scalars: every |Re| and |Im| within
+    the entry bound, which also rules out NaN and inf; the Hermitian
+    deviation; the trace; and the Cholesky criterion of h + CHECK_TOL * I
+    for the Hermitian part h, which at d = 2 is p = h00 + CHECK_TOL > 0
+    and h11 + CHECK_TOL - |h10|^2 / p > 0.  The trace test is `_validate`'s
+    own expression.  The other two must clear their bound by a relative
+    EXACT_TOL: Python's `abs` and this Schur complement can differ by a few
+    ulps from numpy's complex modulus and LAPACK's pivot, so nearer to a
+    bound than that the general check decides.  Products are written
+    x * x: float ** raises OverflowError where * gives inf.
+    """
+    (a, b), (c, e) = rows
+    bound = _QUBIT_BOUND
+    for z in (a, b, c, e):
+        if not (-bound <= z.real <= bound and -bound <= z.imag <= bound):
+            return False
+    tol = linalg.CHECK_TOL
+    herm = max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(e - e.conjugate()))
+    if not herm <= tol * (1.0 - linalg.EXACT_TOL) or abs(a + e - 1.0) > tol:
+        return False
+    # h + CHECK_TOL * I, with h = (m + m^dag) / 2 formed as `_validate` forms it
+    p, h11 = a.real + tol, e.real + tol
+    if not p > 0.0:
+        return False
+    re, im = (c.real + b.real) / 2, (c.imag - b.imag) / 2
+    q = (re * re + im * im) / p
+    return h11 - q > linalg.EXACT_TOL * (h11 + q)
+
+
+def _validate(m: np.ndarray) -> None:
+    """Raise StateValidationError unless the complex array m is a density matrix.
+
+    m is C-contiguous.  Finiteness and the entry bound take one pass over
+    its reals, a minimum and a maximum, through which NaN propagates and
+    past which inf lies; only a failure pays a second pass, so NaN and inf
+    keep their own message.  A finite matrix past the bound is never
+    factored, since its pivots could overflow, but the checks still run in
+    order, with overflow to inf allowed, so its message names the first
+    check it fails; a Hermitian unit-trace one fails PSD (`_entry_bound`).
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
+    parts = m.view(float)
+    bound = _entry_bound(m.shape[0])
+    if -bound <= parts.min(initial=0.0) and parts.max(initial=0.0) <= bound:
+        _check(m, factor=True)
+        return
+    if not np.isfinite(m).all():
+        raise StateValidationError("density matrix contains non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check(m, factor=False)
+
+
+def _check(m: np.ndarray, factor: bool) -> None:
+    """The Hermitian, trace and PSD checks of a finite m, in that order.
+
+    Without `factor` the PSD check fails without a factorization.  The
+    factor's diagonal is read as well: LAPACK can return a factor holding
+    inf or NaN, instead of failing, when a pivot overflows.
+    """
+    herm, h = linalg._symmetric_part(m)
+    if herm > linalg.CHECK_TOL:
+        raise StateValidationError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
+    tr = complex(m.trace())
+    if abs(tr - 1.0) > linalg.CHECK_TOL:
+        raise StateValidationError(f"trace is {tr}, expected 1")
+    if factor:
+        h.flat[:: m.shape[0] + 1] += linalg.CHECK_TOL
+        try:
+            # h is Hermitian, so the F-contiguous h.T is conj(h): it has the
+            # same pivots, and numpy need not transpose it into LAPACK order.
+            if np.isfinite(np.linalg.cholesky(h.T).diagonal()).all():
+                return
+        except np.linalg.LinAlgError:
+            pass
+    # halves first: past the entry bound, m + m^dag can overflow
+    min_eig = float(np.min(np.linalg.eigvalsh(m / 2 + m.conj().T / 2)))
+    raise StateValidationError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
     Hermiticity and the trace are checked to within linalg.CHECK_TOL.  PSD
     holds when the Cholesky factorization of (m + m^dag)/2 + CHECK_TOL * I
-    exists, i.e. when the smallest eigenvalue lies above -CHECK_TOL.  The
+    exists with a finite diagonal, i.e. when the smallest eigenvalue lies
+    above -CHECK_TOL.  No real or imaginary part of a state's entries
+    exceeds 1 + (d + 2) * CHECK_TOL (`_entry_bound`); the finiteness pass
+    tests that bound too, and a matrix past it is never factored.  The
     deviation |m - m^dag| and (m + m^dag)/2 come from one tiled pass
     (`linalg._symmetric_part`), and the factorization is handed the
     F-contiguous transpose of that Hermitian part, its conjugate, which
     has the same pivots and which numpy copies into LAPACK order without
     transposing.  At d = 512 the factorization takes about 10 ms and the
     tiled pass about 5.
+
+    A 2x2 matrix is first offered to `_qubit_accepts`, the same tests on
+    Python scalars from one `tolist()`, about 3 us against about 16 for
+    the general check; what it does not accept goes through the general
+    check, which alone rejects.  Either way the stored matrix is the same
+    read-only C-contiguous complex copy.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise StateValidationError("density matrix contains non-finite entries")
-        herm, h = linalg._symmetric_part(m)
-        if herm > linalg.CHECK_TOL:
-            raise StateValidationError(f"not Hermitian: max |m - m^dag| = {herm:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > linalg.CHECK_TOL:
-            raise StateValidationError(f"trace is {tr}, expected 1")
-        h.flat[:: m.shape[0] + 1] += linalg.CHECK_TOL
-        try:
-            # h is Hermitian, so the F-contiguous h.T is conj(h): it has the
-            # same pivots, and numpy need not transpose it into LAPACK order.
-            np.linalg.cholesky(h.T)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.min(np.linalg.eigvalsh(linalg._symmetric_part(m)[1])))
-            raise StateValidationError(
-                f"not positive semidefinite: min eigenvalue {min_eig:.3e}"
-            ) from None
-        _freeze(self, "matrix", m)
+        m = np.array(self.matrix, dtype=complex, order="C")
+        if m.shape != (2, 2) or not _qubit_accepts(m.tolist()):
+            _validate(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @cached_property
     def imag_canonical(self) -> linalg.SkewCanonicalForm:

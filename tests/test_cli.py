@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from test_states import OVERFLOWING
 
 import imaginarity
 from imaginarity import cli, states
@@ -255,6 +257,17 @@ class TestConvert:
         assert abs(lines[0]["fidelity"] - 1.0) <= 1e-10
 
 
+    def test_one_dimensional_state_converts_at_fidelity_half(self, capsys, tmp_path):
+        # [[1]] has no imaginarity: the odd remainder alone maps it to |0><0|.
+        path = write_state(tmp_path / "one.json", states.DensityMatrix(np.ones((1, 1))))
+        code, lines = run(capsys, "convert", path)
+        assert code == EXIT_OK
+        assert lines[0]["fidelity"] == 0.5
+        assert lines[0]["output"] == {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0] * 2] * 2}
+        assert lines[0]["kraus"]["operators"] == [[[1.0], [0.0]]]
+        assert lines[0]["dilation"] == {"env_dim": 1, "pad_dim": 1, "orthogonality_residual": 0.0}
+
+
 class TestSimulate:
     def test_s_gadget(self, capsys):
         code, lines = run(capsys, "simulate", "s")
@@ -380,3 +393,24 @@ class TestRigidity:
         code, lines = run(capsys, "rigidity", path)
         assert code == EXIT_OK
         assert abs(lines[0]["eta"] - np.pi / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["2x2", "5x5", "float range"])
+@pytest.mark.parametrize(
+    "argv",
+    [["classify"], ["measure"], ["convert"], ["simulate", "s", "--resource"]],
+    ids=["classify", "measure", "convert", "simulate"],
+)
+def test_overflowing_state_is_an_invariant_violation(capsys, tmp_path, name, argv):
+    # These once passed validation: classify, measure and simulate then
+    # exited 1 on an overflow warning (or reported overlap_conj = inf).
+    m = OVERFLOWING[name]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": len(m), "re": m.real.tolist(), "im": m.imag.tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVARIANT
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid state: not positive semidefinite")

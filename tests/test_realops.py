@@ -55,9 +55,21 @@ class TestBuildKraus:
         assert given.flags.writeable  # the caller's array is copied, not frozen
         assert not realops.build_kraus(5).operators.flags.writeable
 
+    def test_one_dimension_is_the_odd_remainder_alone(self):
+        # d = 1: K_0 = |0><0|, and [[1]] goes to |0><0| at F_I = 1/2.
+        kraus = realops.build_kraus(1)
+        assert kraus.operators.tolist() == [[[1.0], [0.0]]]
+        result = realops.convert_to_plus_hat(DensityMatrix(np.ones((1, 1))))
+        assert result.fidelity == 0.5
+        assert result.output.matrix.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        dil = realops.dilate(kraus)
+        assert (dil.env_dim, dil.pad_dim) == (1, 1)
+        out = realops.apply_dilation(dil, result.align, DensityMatrix(np.ones((1, 1))))
+        assert out.matrix.tobytes() == result.output.matrix.tobytes()
+
     def test_rejects_small_dimension(self):
-        with pytest.raises(ValueError):
-            realops.build_kraus(1)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            realops.build_kraus(0)
 
     def test_incomplete_set_rejected(self):
         with pytest.raises(ValueError, match="trace preserving"):
@@ -283,7 +295,7 @@ class TestSharedChannel:
             stacked = kraus.operators.swapaxes(0, 1).reshape(-1, d)
             assert dil.unitary.tobytes() == linalg.orthonormal_complete(stacked).tobytes()
             arrays = (kraus.operators, dil.unitary, *kraus._gather, *dil._gather)
-            assert not any(a.flags.writeable for a in arrays)
+            assert not any(a.flags.writeable for a in arrays if a is not None)
             with pytest.raises(ValueError):
                 dil.unitary[0, 0] = 2.0
 
@@ -302,6 +314,17 @@ class TestSharedChannel:
                 assert realops._aligned_rows(w, gather, o).tobytes() == dense.tobytes()
                 via_gather = realops._compress(w, gather, o, rho).matrix
                 assert via_gather.tobytes() == realops._compress(w, None, o, rho).matrix.tobytes()
+
+    def test_gather_skips_only_what_the_channel_never_needs(self):
+        # Even d: every row of the stacked W is a unit row, so the gather
+        # neither scales nor fixes up.  Odd d has one empty row, row |1> of
+        # the remainder, which is row d of W; its scale 0 keeps the product.
+        for d in range(1, 10):
+            col, scale, empty = realops.build_kraus(d)._gather
+            assert (scale is None) == (empty is None) == (d % 2 == 0)
+            if d % 2:
+                assert empty.tolist() == [d]
+                assert scale.tolist() == [1.0] * d + [0.0]
 
     def test_signed_one_hot_set_is_gathered(self):
         # Negating rows of the 0/1 family keeps it trace preserving.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,81 @@ class TestValidation:
         rho = states.from_pure(states.plus_i())
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.0
+
+
+#: Hermitian, unit-trace matrices whose entries near the float range once
+#: overflowed the Cholesky factor into inf and NaN without a LinAlgError:
+#: the 2x2 case, a 5x5 variant with the pair spread to rows 0 and 4, and
+#: entries at 1.7e308, where m + m^dag itself overflows.
+def spread_pair(d):
+    m = np.diag([5e-324] + [0.0] * (d - 2) + [1.0]).astype(complex)
+    m[0, -1], m[-1, 0] = 5e307 + 5e-10j, 5e307 - 5e-10j
+    return m
+
+
+OVERFLOWING = {
+    "2x2": spread_pair(2),
+    "5x5": spread_pair(5),
+    "float range": np.array([[0.5, 1.7e308], [1.7e308, 0.5]], dtype=complex),
+}
+
+
+class TestEntryBound:
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_overflowing_states_are_rejected_without_warnings(self, name):
+        m = OVERFLOWING[name]
+        assert np.array_equal(m, m.conj().T) and m.trace() == 1.0
+        if m.shape == (2, 2):
+            assert not states._qubit_accepts(m.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateValidationError, match="positive semidefinite: min eigenvalue -"):
+                DensityMatrix(m)
+
+    def test_the_bound_keeps_every_check_and_its_message(self):
+        # Past the bound the checks still run in order: a non-Hermitian
+        # matrix, a wrong trace and NaN keep their own messages.
+        cases = {
+            "not Hermitian: max |m - m^dag| = inf": [[0.5, 1e308], [-1e308, 0.5]],
+            "trace is (2+0j), expected 1": [[1.5, 0.0], [0.0, 0.5]],
+            "non-finite": [[np.nan, 1e308], [1e308, 0.5]],
+            "positive semidefinite: min eigenvalue -5.000e-01": [[1.5, 0.0], [0.0, -0.5]],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for message, m in cases.items():
+                with pytest.raises(StateValidationError) as err:
+                    DensityMatrix(np.array(m, dtype=complex))
+                assert message in str(err.value)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 65])
+    def test_states_reach_the_bound_and_no_state_passes_it(self, d):
+        # A PSD, unit-trace matrix has |rho_ij| <= 1, and a basis state
+        # reaches it.
+        DensityMatrix(np.diag(np.eye(d)[0]))
+        bound = states._entry_bound(d)
+        m = np.zeros((d, d), dtype=complex)
+        m[0, 0] = bound
+        m[1, 1] = 1.0 - bound
+        with pytest.raises(StateValidationError, match="positive semidefinite"):
+            DensityMatrix(m)  # within the bound, caught by the factorization
+        m[0, 0], m[1, 1] = np.nextafter(bound, 2.0), 1.0 - np.nextafter(bound, 2.0)
+        with pytest.raises(StateValidationError, match="positive semidefinite"):
+            DensityMatrix(m)  # past it, never factored
+
+    def test_a_non_finite_factor_is_a_failed_factorization(self, monkeypatch):
+        # LAPACK may return a factor holding NaN instead of failing; its
+        # diagonal is read, and the matrix is reported as not PSD.
+        cholesky = np.linalg.cholesky
+
+        def nan_factor(a):
+            out = cholesky(a)
+            out[-1, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", nan_factor)
+        with pytest.raises(StateValidationError, match="positive semidefinite"):
+            DensityMatrix(np.eye(3) / 3)
 
 
 class TestFromPure:
