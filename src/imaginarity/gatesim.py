@@ -25,7 +25,8 @@ call; `dataclasses.replace` gives a new instance that verifies afresh.
 
 What depends only on the unitary, the target and the dimensions is shared
 across instances: the finiteness, realness, orthogonality and unitarity
-checks, the (n^2, N, R + ro) probe factors and the low end of
+checks (entries past 1 + CHECK_TOL fail before a Gram product can
+overflow), the (n^2, N, R + ro) probe factors and the low end of
 `hs_consistency`'s range.  The S and CS gadget unitaries are module
 constants, so every pipeline run and every `simulate` repeats them; each
 instance then pays only the dimension checks, the M assembly and the two
@@ -47,7 +48,7 @@ An invalid pair raises and is never stored, so it raises on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -101,6 +102,18 @@ def rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
+#: Largest |Re| or |Im| an entry of a unitary can have, with room for
+#: rounding: a matrix past it is not unitary, and its Gram product could
+#: overflow, so it is rejected before that product.
+_UNITARY_ENTRY_BOUND = 1.0 + linalg.CHECK_TOL
+
+
+def _bounded(m: np.ndarray) -> bool:
+    """Whether every |Re| and |Im| of m is within _UNITARY_ENTRY_BOUND (False on NaN)."""
+    bound = _UNITARY_ENTRY_BOUND
+    return bool((np.abs(m.real) <= bound).all() and (np.abs(m.imag) <= bound).all())
+
+
 # --- simulation instances ---------------------------------------------------
 
 
@@ -131,7 +144,7 @@ class SimulationInstance:
     def data_dim(self) -> int:
         return self.target.shape[0]
 
-    @cached_property
+    @linalg._cached
     def _fixed(self):
         """(probe factors, low) of the unitary and target, from `_fixed_part`.
 
@@ -152,7 +165,7 @@ class SimulationInstance:
             u.tobytes(), u.shape, v.tobytes(), v.shape, self.resource.dim, self.ancilla_dim, ro
         )
 
-    @cached_property
+    @linalg._cached
     def _deviations(self):
         """(max_deviation, read-only residuals) over the spanning probes.
 
@@ -184,10 +197,14 @@ def _fixed_part(u_bytes, u_shape, v_bytes, v_shape, d, ancilla_dim, ro):
         raise ValueError("target matrix contains non-finite entries")
     if np.abs(u.imag).max() > linalg.EXACT_TOL:
         raise ValueError("instance unitary must be real")
+    if not _bounded(u):
+        raise ValueError("instance unitary is not orthogonal")
     gram = u.real.T @ u.real
     gram.flat[:: big + 1] -= 1.0
     if np.abs(gram).max() > linalg.EXACT_TOL:
         raise ValueError("instance unitary is not orthogonal")
+    if not _bounded(v):
+        raise ValueError("target matrix is not unitary")
     gram = v.conj().T @ v
     gram.flat[:: n + 1] -= 1.0
     if np.abs(gram).max() > linalg.EXACT_TOL:
@@ -352,12 +369,13 @@ def phase_rigidity(v, tolerance: float = linalg.CHECK_TOL) -> PhaseRigidityResul
     If W = e^{i eta} I, then V' = e^{-i eta / 2} V is real orthogonal: V can
     only differ from a real orthogonal matrix by a global phase.  Otherwise
     V cannot be simulated with a zero resource.  Raises `ValueError` unless
-    V is a square, 2-D unitary.
+    V is a square, 2-D unitary; a NaN entry, or an |Re| or |Im| past
+    1 + CHECK_TOL, fails before the Gram product V^dag V could overflow.
     """
     v = np.asarray(v, dtype=complex)
     linalg._require_square(v, "input matrix")
     n = v.shape[0]
-    if not np.max(np.abs(v.conj().T @ v - np.eye(n))) <= linalg.EXACT_TOL:  # NaN fails too
+    if not _bounded(v) or not np.max(np.abs(v.conj().T @ v - np.eye(n))) <= linalg.EXACT_TOL:
         raise ValueError("input matrix is not unitary")
     w = v.T @ v
     off = w - np.diag(np.diag(w))

@@ -39,6 +39,19 @@ d = 16 the cuts are scanned from T.tolist() (`_scan_cuts`), the kernel
 rows are ordered from a Python set, and a real 2x2 input takes its
 closed form (`_qubit_canonical`, about 2.5 us against 24).  Each of these
 gives the general path's result bit for bit.
+
+`skew_canonical` is its input checks and a core, `_canonical_form`, that
+takes the exactly skew part.  A validated density matrix has already
+proven what the checks test of its Im(rho): finite entries, and a skew
+deviation within CHECK_TOL (it is the imaginary part of the Hermitian
+deviation).  So from d = 3 on `states.DensityMatrix.imag_canonical`
+forms the skew part as the checks would (`_skew_part`) and calls the
+core, which saves the finiteness and entry pass and the deviation pass,
+about 8 of the 34 us at d = 4.
+
+The public functions reject entries past _ENTRY_LIMIT (1e100) with
+`ValueError`, in the pass that rejects non-finite ones, so none of their
+sums or products can overflow before a check decides.
 """
 
 from __future__ import annotations
@@ -69,11 +82,23 @@ CHECK_TOL = 1e-10
 EXACT_TOL = 1e-12
 
 
+#: Largest |Re| or |Im| of an entry the public functions accept.  Sums and
+#: products of such entries, even summed over any dimension, stay far
+#: inside the float range, so none overflows before a check has decided.
+_ENTRY_LIMIT = 1e100
+
+
 def _checked(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.isfinite(m).all():  # complex isfinite tests both parts
-        raise ValueError(f"{name} contains non-finite entries")
+    # One pass per part tests finiteness and the limit: NaN fails `<=`, and
+    # inf lies past the limit.  Only a failure pays the pass that tells them apart.
+    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
+    sizes = [np.abs(p).max(initial=0.0) for p in parts]
+    if not all(size <= _ENTRY_LIMIT for size in sizes):
+        if not np.isfinite(m).all():  # complex isfinite tests both parts
+            raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} has an entry of size {max(sizes):.3e}, past {_ENTRY_LIMIT:.0e}")
     return m
 
 
@@ -91,6 +116,31 @@ def _as_real_matrix(a, name: str = "matrix") -> np.ndarray:
     if imag > EXACT_TOL:
         raise ValueError(f"{name} must be real (max |Im| = {imag})")
     return m.real
+
+
+class _cached:
+    """A method computed on an instance's first read, then stored on it.
+
+    `functools.cached_property` without the lock that Python 3.8-3.11 take
+    around every first read.  The value goes into the instance's __dict__,
+    which shadows this non-data descriptor, so later reads are plain
+    attribute reads.  Two threads that read it first together may both
+    compute it; the objects that use it are immutable, so both results are
+    equal.  A method that raises stores nothing and raises on every read.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _require_square(m: np.ndarray, name: str = "matrix") -> None:
@@ -396,8 +446,27 @@ def skew_canonical(a) -> SkewCanonicalForm:
     skew_dev, A = _symmetric_part(A, skew=True)
     if skew_dev > CHECK_TOL:
         raise ValueError(f"matrix is not skew-symmetric (max deviation {skew_dev:.3e})")
-    d = A.shape[0]
+    return _canonical_form(A)
 
+
+def _skew_part(a: np.ndarray) -> np.ndarray:
+    """(a - a^T) / 2 of a finite real square a, bitwise as `skew_canonical` forms it.
+
+    Up to _TILE that is the whole-matrix formula of `_symmetric_part`,
+    without its deviation pass; above, the tiled walk itself.
+    """
+    if a.shape[0] <= _TILE:
+        return (a - a.T) / 2
+    return _symmetric_part(a, skew=True)[1]
+
+
+def _canonical_form(A: np.ndarray) -> SkewCanonicalForm:
+    """The form `skew_canonical` gives, for an exactly skew-symmetric real A.
+
+    A has passed the checks already: it is finite, square and the skew
+    part (A - A^T) / 2 of the input, so A^T = -A bit for bit.
+    """
+    d = A.shape[0]
     g, q = np.linalg.eigh(A.T @ A)
     q = q[:, ::-1]
     cutoff = EXACT_TOL * max(1.0, math.sqrt(max(float(g[-1]), 0.0) if d else 0.0))

@@ -36,12 +36,24 @@ That is detected once per channel object; dense sets keep the product.
 So is what the gather may skip: for the fixed family at even d every row
 is a unit row, so the gathered rows are neither scaled nor zeroed, which
 leaves one numpy operation where there were four.
+
+The rows then meet rho in one stacked real product on each side
+(`_compress`): Re(rho) and Im(rho), strided views of the stored matrix,
+form one (2, d, d) stack, and the two results are interleaved into the
+complex output by one copy.  numpy copies each strided part for BLAS, as
+it did when the two parts were two products, so every product has its
+old shape and the output its old bits.  At d <= 16 a channel application
+takes about 10 us against 14.  One product of the rows with the
+interleaved (d, 2d) float view of rho would take one call less, but BLAS
+can round a product with 2d columns differently from one with d: on
+OpenBLAS 0.3.31 it does at d = 6 and 7, and at most d >= 18 that are not
+0, 1 or 7 mod 8.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,11 +115,11 @@ class RealKrausSet:
         """The stacked isometry W: row (o, m) is row o of K_m."""
         return self.operators.swapaxes(0, 1).reshape(-1, self.in_dim)
 
-    @cached_property
+    @linalg._cached
     def _gather(self):
         return _one_hot_rows(self._rows())
 
-    @cached_property
+    @linalg._cached
     def _dilation(self) -> "RealDilation":
         """The dilation `dilate` returns, built on first use."""
         w = self._rows()
@@ -142,7 +154,7 @@ class RealDilation:
         unitary.setflags(write=False)
         object.__setattr__(self, "unitary", unitary)
 
-    @cached_property
+    @linalg._cached
     def _gather(self):
         return _one_hot_rows(self.unitary[:, : len(self.unitary) - self.pad_dim])
 
@@ -203,20 +215,20 @@ def _compress(w: np.ndarray, gather, align, rho: DensityMatrix) -> DensityMatrix
     """sum_e V_e rho V_e^T for V = w O, w real of shape (out, env, in).
 
     O is the real orthogonal `align` (None: identity); `gather` is as for
-    `_aligned_rows`.  V meets Re(rho) and Im(rho) in two real products, not
-    one product promoted to complex.
+    `_aligned_rows`.  V meets Re(rho) and Im(rho), one (2, d, d) stack of
+    strided views, in one stacked real product on each side, not in a
+    product promoted to complex; the (2, out, out) result is interleaved
+    into the complex output by one copy.  Each product has the shape and
+    the bits of a separate product per part.
     """
     out, _, d = w.shape
     o = np.eye(d) if align is None else np.asarray(align, dtype=float)
     if o.shape != (d, d):
         raise ValueError(f"alignment shape {o.shape} inconsistent with dimension {d}")
     rows = _aligned_rows(w, gather, o)
-    flat = rows.reshape(out, -1)
-
-    def block(part):
-        return (rows @ part).reshape(out, -1) @ flat.T
-
-    return DensityMatrix(block(rho.matrix.real) + 1j * block(rho.matrix.imag))
+    parts = rho.matrix.view(float).reshape(d, d, 2).transpose(2, 0, 1)
+    blocks = (rows @ parts).reshape(2, out, -1) @ rows.reshape(out, -1).T
+    return DensityMatrix(blocks.transpose(1, 2, 0).copy().view(complex)[..., 0])
 
 
 def apply_kraus(kraus: RealKrausSet, align, rho: DensityMatrix) -> DensityMatrix:

@@ -8,7 +8,9 @@ shifted by linalg.CHECK_TOL * I, which succeeds exactly when the smallest
 eigenvalue exceeds -CHECK_TOL (up to rounding of order d * eps); the full
 spectrum is computed only to report a rejection.  A density matrix also
 carries the 2x2-block canonical form of its Im(rho), computed once on
-first use, which every measure and the optimal alignment read.
+first use, which every measure and the optimal alignment read.  What
+validation proves is not checked again: from d = 3 on the form skips
+`linalg.skew_canonical`'s input checks (see `DensityMatrix`).
 
 A qubit, the paper's resource and the output of every optimal
 conversion, is the most frequent state, and at d = 2 the numpy calls of
@@ -32,7 +34,6 @@ unitaries of `rigidity` through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -173,6 +174,14 @@ class DensityMatrix:
     the general check; what it does not accept goes through the general
     check, which alone rejects.  Either way the stored matrix is the same
     read-only C-contiguous complex copy.
+
+    An accepted matrix is finite, within the entry bound, and its
+    Hermitian deviation |m - m^dag| is within CHECK_TOL, so the imaginary
+    part of that deviation, the skew deviation |Im m + (Im m)^T| of
+    Im(rho), is too.  Those are `linalg.skew_canonical`'s checks, which
+    `imag_canonical` therefore skips from d = 3 on.  Nothing extra is
+    stored for it: the form is still computed on first use from the
+    stored matrix.
     """
 
     matrix: np.ndarray
@@ -184,14 +193,23 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @cached_property
+    @linalg._cached
     def imag_canonical(self) -> linalg.SkewCanonicalForm:
         """Canonical 2x2-block form of the real skew-symmetric Im(rho).
 
         Computed on first use and shared by every later reader; the arrays
-        are read-only, like the matrix they come from.
+        are read-only, like the matrix they come from.  Validation has
+        passed what `linalg.skew_canonical` checks (see the class
+        docstring), so from d = 3 on the skew part, formed as
+        `skew_canonical` forms it, goes straight to its core
+        (`linalg._canonical_form`): the result is the same bit for bit.  A
+        qubit still takes `skew_canonical` and its closed form.
         """
-        form = linalg.skew_canonical(self.matrix.imag)
+        a = self.matrix.imag
+        if len(a) <= 2:
+            form = linalg.skew_canonical(a)
+        else:
+            form = linalg._canonical_form(linalg._skew_part(a))
         form.block_values.setflags(write=False)
         form.orthogonal.setflags(write=False)
         return form

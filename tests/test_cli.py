@@ -388,6 +388,20 @@ class TestRigidity:
         assert main(["rigidity", path]) == EXIT_INTERNAL
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1e308j, 1e200 + 1e200j])
+    def test_overflowing_entry_is_not_unitary_exit_1(self, capsys, tmp_path, entry):
+        # Once printed numpy's matmul overflow warnings before the error.
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = entry
+        path = self.write_matrix(tmp_path / "big.json", m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rigidity", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err == "error: input matrix is not unitary\n"
+
     def test_global_phase(self, capsys, tmp_path):
         path = self.write_matrix(tmp_path / "p.json", np.exp(1j * np.pi / 4) * np.eye(2))
         code, lines = run(capsys, "rigidity", path)

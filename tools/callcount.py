@@ -37,6 +37,7 @@ import spans  # noqa: E402
 #: Internal helpers counted as stages of their own, next to spans.TRACED.
 HELPERS = (
     ("linalg", "_symmetric_part", "linalg._symmetric_part"),
+    ("linalg", "_canonical_form", "linalg._canonical_form"),
     ("linalg", "_cuts", "linalg._cuts"),
     ("realops", "_compress", "realops._compress"),
     ("gatesim", "_probe_deviations", "gatesim._probe_deviations"),
