@@ -13,13 +13,13 @@ validation proves is not checked again: from d = 3 on the form skips
 `linalg.skew_canonical`'s input checks (see `DensityMatrix`).
 
 A qubit, the paper's resource and the output of every optimal
-conversion, is the most frequent state, and at d = 2 the numpy calls of
-the general check cost more than their arithmetic.  So a 2x2 matrix is
-first offered to a fast accept in Python scalars (`_qubit_accepts`),
-which applies the same tests and accepts only what the general check
-(`_validate`) accepts.  It never rejects: anything it does not accept,
-invalid or merely near a bound, goes through the general check, so every
-rejection and its message come from one place.
+conversion, is the most frequent state, and up to d = 4 the numpy calls
+of the general check cost more than their arithmetic.  So a d x d matrix
+with 2 <= d <= 4 is first offered to a fast accept in Python scalars
+(`_scalar_accepts`), which applies the same tests and accepts only what
+the general check (`_validate`) accepts.  It never rejects: anything it
+does not accept, invalid or merely near a bound, goes through the
+general check, so every rejection and its message come from one place.
 
 All randomness goes through ``numpy.random.default_rng`` (PCG64, 64-bit
 seedable); every stochastic generator takes an explicit seed.
@@ -33,6 +33,7 @@ unitaries of `rigidity` through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,39 +67,97 @@ def _entry_bound(d: int) -> float:
     return 1.0 + (d + 2) * linalg.CHECK_TOL
 
 
-_QUBIT_BOUND = _entry_bound(2)
+#: Entry bounds of the sizes `_scalar_accepts` takes, by d.
+_SCALAR_BOUNDS = {d: _entry_bound(d) for d in (2, 3, 4)}
+
+#: Shapes offered to `_scalar_accepts`.  Its loops grow as d^3, the
+#: general check's numpy calls hardly at all: at d = 4 they take about
+#: 7 us against 19 for the general check, at d = 8 about 27 against 18.
+_SCALAR_SHAPES = tuple((d, d) for d in _SCALAR_BOUNDS)
 
 
-def _qubit_accepts(rows) -> bool:
-    """Whether the 2x2 matrix `rows` (nested lists of complex) surely is a state.
+def _scalar_accepts(rows) -> bool:
+    """Whether the d x d matrix `rows` (nested lists of complex, 2 <= d <= 4) surely is a state.
 
     The tests of `_validate` in Python scalars: every |Re| and |Im| within
     the entry bound, which also rules out NaN and inf; the Hermitian
     deviation; the trace; and the Cholesky criterion of h + CHECK_TOL * I
-    for the Hermitian part h, which at d = 2 is p = h00 + CHECK_TOL > 0
-    and h11 + CHECK_TOL - |h10|^2 / p > 0.  The trace test is `_validate`'s
-    own expression.  The other two must clear their bound by a relative
-    EXACT_TOL: Python's `abs` and this Schur complement can differ by a few
-    ulps from numpy's complex modulus and LAPACK's pivot, so nearer to a
-    bound than that the general check decides.  Products are written
-    x * x: float ** raises OverflowError where * gives inf.
+    for the Hermitian part h, formed as `_validate` forms it.  Near a bound
+    Python's `abs`, sums and pivots can differ by a few ulps from numpy's
+    and LAPACK's, so each test must clear its bound by a margin; nearer
+    than that the general check decides.  The Hermitian deviation must
+    clear CHECK_TOL by a relative EXACT_TOL.  Products are written x * x:
+    float ** raises OverflowError where * gives inf.
+
+    At d = 2 the tests are closed forms.  The trace is `_validate`'s own
+    expression.  The pivots are p = h00 + CHECK_TOL > 0, exactly LAPACK's
+    first pivot, and the Schur complement h11 + CHECK_TOL - |h10|^2 / p,
+    which must clear 0 by a relative EXACT_TOL.
+
+    At d = 3 and 4 one walk over the lower triangle applies every test; the
+    order does not matter, since a failure only declines.  numpy may sum
+    the trace in another order, so it must clear CHECK_TOL by d * d * eps,
+    more than two sums of d entries within the entry bound can differ by.
+    A relative margin on each pivot no longer suffices: after a nearly
+    singular leading block, a pivot's rounding is amplified by that
+    block's condition number.  So the factorization runs on
+    h + CHECK_TOL * I with its diagonal D shrunk by a relative EXACT_TOL.
+    If it completes, D^-1/2 (h + CHECK_TOL * I) D^-1/2 has no eigenvalue
+    below EXACT_TOL less a few d * eps, the factorization's rounding, and
+    LAPACK's factorization, in any order of operations, completes on every
+    matrix whose scaled form has no eigenvalue below about d * eps (Higham,
+    Accuracy and Stability of Numerical Algorithms, Theorem 10.7).
     """
-    (a, b), (c, e) = rows
-    bound = _QUBIT_BOUND
-    for z in (a, b, c, e):
-        if not (-bound <= z.real <= bound and -bound <= z.imag <= bound):
-            return False
     tol = linalg.CHECK_TOL
-    herm = max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(e - e.conjugate()))
-    if not herm <= tol * (1.0 - linalg.EXACT_TOL) or abs(a + e - 1.0) > tol:
-        return False
-    # h + CHECK_TOL * I, with h = (m + m^dag) / 2 formed as `_validate` forms it
-    p, h11 = a.real + tol, e.real + tol
-    if not p > 0.0:
-        return False
-    re, im = (c.real + b.real) / 2, (c.imag - b.imag) / 2
-    q = (re * re + im * im) / p
-    return h11 - q > linalg.EXACT_TOL * (h11 + q)
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        bound = _SCALAR_BOUNDS[2]
+        for z in (a, b, c, e):
+            if not (-bound <= z.real <= bound and -bound <= z.imag <= bound):
+                return False
+        herm = max(abs(a - a.conjugate()), abs(b - c.conjugate()), abs(e - e.conjugate()))
+        if not herm <= tol * (1.0 - linalg.EXACT_TOL) or abs(a + e - 1.0) > tol:
+            return False
+        # h + CHECK_TOL * I, with h = (m + m^dag) / 2 formed as `_validate` forms it
+        p, h11 = a.real + tol, e.real + tol
+        if not p > 0.0:
+            return False
+        re, im = (c.real + b.real) / 2, (c.imag - b.imag) / 2
+        q = (re * re + im * im) / p
+        return h11 - q > linalg.EXACT_TOL * (h11 + q)
+    d = len(rows)
+    bound = _SCALAR_BOUNDS[d]
+    limit, keep = tol * (1.0 - linalg.EXACT_TOL), 1.0 - linalg.EXACT_TOL
+    trace, factor = 0.0, []  # rows of the lower Cholesky factor of the shrunk h + tol * I
+    for i, row in enumerate(rows):
+        li = []
+        for j, lj in enumerate(factor):
+            z, w = row[j], rows[j][i].conjugate()
+            if not (
+                -bound <= z.real <= bound
+                and -bound <= z.imag <= bound
+                and -bound <= w.real <= bound
+                and -bound <= w.imag <= bound
+                and abs(z - w) <= limit
+            ):
+                return False
+            z = (z + w) / 2
+            for k in range(j):
+                z -= li[k] * lj[k].conjugate()
+            li.append(z / lj[j])
+        z = row[i]
+        # on the diagonal |m - m^dag| is |2 Im|, which also bounds Im
+        if not (-bound <= z.real <= bound and abs(z.imag + z.imag) <= limit):
+            return False
+        trace += z
+        p = (z.real + tol) * keep
+        for x in li:
+            p -= x.real * x.real + x.imag * x.imag
+        if not p > 0.0:
+            return False
+        li.append(math.sqrt(p))
+        factor.append(li)
+    return abs(trace - 1.0) <= tol - d * d * math.ulp(1.0)
 
 
 def _validate(m: np.ndarray) -> None:
@@ -169,11 +228,12 @@ class DensityMatrix:
     transposing.  At d = 512 the factorization takes about 10 ms and the
     tiled pass about 5.
 
-    A 2x2 matrix is first offered to `_qubit_accepts`, the same tests on
-    Python scalars from one `tolist()`, about 3 us against about 16 for
-    the general check; what it does not accept goes through the general
-    check, which alone rejects.  Either way the stored matrix is the same
-    read-only C-contiguous complex copy.
+    A d x d matrix with 2 <= d <= 4 is first offered to `_scalar_accepts`,
+    the same tests on Python scalars from one `tolist()`: a whole
+    `DensityMatrix` takes about 3 us at d = 2 and 8 at d = 4, against about
+    19 through the general check.  What it does not accept goes through
+    the general check, which alone rejects.  Either way the stored matrix
+    is the same read-only C-contiguous complex copy.
 
     An accepted matrix is finite, within the entry bound, and its
     Hermitian deviation |m - m^dag| is within CHECK_TOL, so the imaginary
@@ -188,7 +248,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, order="C")
-        if m.shape != (2, 2) or not _qubit_accepts(m.tolist()):
+        if m.shape not in _SCALAR_SHAPES or not _scalar_accepts(m.tolist()):
             _validate(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

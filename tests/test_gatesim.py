@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -408,7 +409,7 @@ class TestFixedPartCache:
         base = s_gadget()
         u, v = np.array(base.unitary), np.array(base.target)
         inst = dataclasses.replace(base, unitary=u, target=v)
-        factors, low = inst._fixed
+        factors, low, *conjugates = inst._fixed
         before = factors.tobytes()
         u[:] = np.nan
         v[:] = 0.0
@@ -418,6 +419,57 @@ class TestFixedPartCache:
         assert verify_instance(again).holds
         with pytest.raises(ValueError, match="read-only"):
             factors[0, 0, 0] = 1.0
+        for array in conjugates:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
+
+
+def parent_probe_deviations(inst):
+    """`_probe_deviations` as written before the conjugates were cached."""
+    f = inst._fixed[0]
+    rho = inst.resource.matrix
+    n2, d, r = f.shape[0], rho.shape[0], inst.residual.dim
+    phi = inst.out_ancilla.amplitudes
+    ro = r * phi.size
+    sigma = inst.residual.matrix[:, None, :, None] * (phi[:, None] * phi.conj())[:, None, :]
+    m = np.zeros((d + ro, d + ro), dtype=complex)
+    m[:d, :d] = rho
+    m[d:, d:] = -sigma.reshape(ro, ro)
+    fm = f @ m
+    fc = np.conjugate(f)
+    residuals = fm[:, :, :d].reshape(n2, r, -1) @ fc[:, :, :d].reshape(n2, r, -1).swapaxes(1, 2)
+    return fm @ fc.swapaxes(1, 2), residuals
+
+
+def bitwise_instances():
+    """The oracle's instances (S, CS, real targets, a 2-dim out-ancilla), real_target
+    with 2- and 4-dim resources on 8 data levels, and a phased 1-dim out-ancilla."""
+    rng = np.random.default_rng(24)
+    out = oracle_instances()
+    for d in (2, 4):
+        od, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        orr, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        out.append(real_target_instance(states.gen_random_density(d, d), od, orr))
+    converted = realops.convert_to_plus_hat(states.gen_max_imaginary(4, 2, 3)).output
+    phase = states.PureState(np.array([np.exp(1.3j)]))
+    out.append(dataclasses.replace(s_gadget(converted), out_ancilla=phase))
+    return out
+
+
+class TestProbeDeviationsBitwise:
+    """The cached conjugates and the scalar sigma keep every bit of the outputs."""
+
+    def test_deviations_and_residuals_match_the_parent_formula(self):
+        instances = bitwise_instances()
+        assert {inst.out_ancilla.dim for inst in instances} == {1, 2}
+        for inst in instances:
+            dev, residuals = gatesim._probe_deviations(inst)
+            ref_dev, ref_residuals = parent_probe_deviations(inst)
+            assert dev.tobytes() == ref_dev.tobytes()
+            assert residuals.tobytes() == ref_residuals.tobytes()
+            report = verify_instance(inst)
+            assert report.max_deviation == float(np.abs(ref_dev).max())
+            assert report.residuals.tobytes() == ref_residuals.tobytes()
 
 
 class TestIdentityEquality:
@@ -608,6 +660,38 @@ class TestPhaseRigidity:
 
 
 class TestGadgets:
+    @pytest.mark.parametrize(
+        "data, resource",
+        [
+            (np.eye(2), [[1e200, 0], [0, 1]]),
+            ([[1e200, 0], [0, 1]], None),
+            (np.eye(2), [[np.nan, 0], [0, 1]]),
+            ([[1.0, 0], [0, 1e308]], [[1e308, 0], [0, 1]]),
+        ],
+    )
+    def test_real_target_checks_its_orthogonals_before_any_product(self, data, resource):
+        rho = states.gen_random_density(2, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="instance unitary is not orthogonal"):
+                real_target_instance(rho, data, resource)
+
+    @pytest.mark.parametrize("data, resource", [(np.ones(2), None), (np.eye(2), np.ones((2, 3)))])
+    def test_real_target_needs_square_orthogonals(self, data, resource):
+        with pytest.raises(ValueError, match="must be square"):
+            real_target_instance(states.gen_random_density(2, 1), data, resource)
+
+    def test_real_target_unitary_is_the_kron_product_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for d in (1, 2, 3, 4):
+            for n in (1, 2, 5, 8):
+                od, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                orr, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                od = od * np.exp(1j * rng.uniform(0, 7, n))  # complex entries too
+                inst = real_target_instance(states.gen_random_density(d, n), od, orr)
+                assert inst.unitary.tobytes() == np.kron(orr.astype(complex), od).tobytes()
+                assert inst.unitary.shape == (d * n, d * n)
+
     def test_s_gadget_on_basis_states(self):
         inst = s_gadget()
         plus_i = states.plus_i().amplitudes

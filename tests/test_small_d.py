@@ -1,8 +1,8 @@
 """The small-d fast paths against the general code they stand in for.
 
-* `states._qubit_accepts`, the Python-scalar check of a 2x2 density
-  matrix, may only accept what `states._validate` accepts, and the stored
-  matrix must be the same bytes either way.
+* `states._scalar_accepts`, the Python-scalar check of a d x d density
+  matrix with 2 <= d <= 4, may only accept what `states._validate`
+  accepts, and the stored matrix must be the same bytes either way.
 * `linalg._scan_cuts`, the Python scan of the cut rule below
   `linalg._SCAN_BELOW`, must give the cuts of `linalg._cut_passes`, on
   both sides of that size.
@@ -40,9 +40,7 @@ def outcome(m):
         return "rejected", str(exc)
 
 
-@st.composite
-def near_qubit_states(draw):
-    """A qubit state, then each of its eight reals kept, offset or replaced."""
+def qubit_state(draw):
     kind = draw(st.sampled_from(["bloch", "pole", "mixed", "diagonal"]))
     if kind == "bloch":
         x, y, z = (draw(st.floats(-0.57, 0.57)) for _ in range(3))
@@ -52,20 +50,75 @@ def near_qubit_states(draw):
         x, y, z = 0.0, 0.0, 0.0
     else:
         x, y, z = 0.0, 0.0, draw(st.sampled_from([1.0, -1.0]))
-    m = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2
+    return np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2
+
+
+def seeded_state(draw, d):
+    """A seeded full-rank, rank-deficient or maximally imaginary d x d state.
+
+    Or one with its smallest eigenvalue moved to within a small relative
+    step of -CHECK_TOL, the trace kept, so that the PSD test decides; a
+    Kahan-type base makes its leading blocks nearly singular as well.
+    """
+    kind = draw(st.sampled_from(["full", "deficient", "max_imaginary", "edge", "kahan_edge"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "max_imaginary":
+        return states.gen_max_imaginary(d, draw(st.integers(1, d // 2)), seed).matrix
+    if kind == "kahan_edge":
+        m = kahan(d, draw(st.sampled_from([1e-2, 1e-3, 1e-4])))
+    else:
+        rng = np.random.default_rng(seed)
+        k = d if kind == "full" else draw(st.integers(1, d - 1))
+        g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        m = g @ g.conj().T
+        m = m / m.trace().real
+    if kind in ("edge", "kahan_edge"):
+        w, v = np.linalg.eigh(m)
+        step = draw(st.sampled_from([1e-2, 1e-5, 1e-8, 1e-11, 0.0, -1e-11, -1e-5]))
+        shift = w[0] + TOL * (1.0 - step)
+        m = m - shift * np.outer(v[:, 0], v[:, 0].conj()) + shift * np.outer(v[:, -1], v[:, -1].conj())
+        m = (m + m.conj().T) / 2
+    return m
+
+
+@st.composite
+def near_small_states(draw):
+    """A d x d state, 2 <= d <= 4, then each of its reals kept, offset or replaced.
+
+    At d = 3 and 4 a state has 18 and 32 reals, so most draws change only a
+    few of them, and half of the changed matrices are made Hermitian
+    again: those lie near the trace and PSD bounds, not past the Hermitian
+    one.
+    """
+    d = draw(st.sampled_from([2, 3, 4]))
+    m = qubit_state(draw) if d == 2 else seeded_state(draw, d)
+    keep = 6 if d == 2 else draw(st.sampled_from([6, 60]))
     parts = m.view(float).reshape(-1).copy()
     for k in range(parts.size):
-        how = draw(st.sampled_from(["keep"] * 6 + ["offset"] * 3 + ["special"]))
+        how = draw(st.sampled_from(["keep"] * keep + ["offset"] * 3 + ["special"]))
         if how == "offset":
             parts[k] += draw(st.sampled_from(OFFSETS))
         elif how == "special":
             parts[k] = draw(st.sampled_from(SPECIAL))
-    return parts.view(complex).reshape(2, 2)
+    m = parts.view(complex).reshape(d, d)
+    if d > 2 and draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            m = m / 2 + m.conj().T / 2
+    return m
+
+
+def kahan(d, s):
+    """Unit-trace Hermitian m whose leading blocks are nearly singular, for small s."""
+    c = np.sqrt(1.0 - s * s)
+    r = np.triu(np.full((d, d), -c), 1) + np.eye(d)
+    r = np.diag(s ** np.arange(d)) @ r
+    m = (r.T @ r).astype(complex)
+    return m / m.trace().real
 
 
 @seed(22)
-@settings(max_examples=600, deadline=None)
-@given(near_qubit_states())
+@settings(max_examples=1500, deadline=None)
+@given(near_small_states())
 @example(np.array([[5e-324, 5e307 + 5e-10j], [5e307 - 5e-10j, 1.0]]))
 @example(np.array([[0.5, -0.5j], [0.5j, 0.5]]))
 @example(np.array([[0.5 + 0.5 * TOL, 0.0], [0.0, 0.5]]))
@@ -74,10 +127,20 @@ def near_qubit_states(draw):
 @example(np.array([[1.0 + 1.5 * TOL, 0.0], [0.0, -1.5 * TOL]]))
 @example(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 @example(np.array([[0.5, np.inf], [np.inf, 0.5]]))
+@example(np.diag([-TOL, 0.5, 0.5 + TOL]).astype(complex))
+@example(np.diag([0.25, -TOL, 0.25, 0.5 + TOL]).astype(complex))
+@example(np.diag([1.0 + 3 * TOL, -TOL, -TOL, -TOL]).astype(complex))
+@example(np.diag([0.5, 0.5, TOL, 0.0]).astype(complex))
+@example(np.full((3, 3), 1 / 3, dtype=complex))
+@example(kahan(3, 1e-4))
+@example(kahan(4, 1e-3))
+@example(kahan(4, 1e-5) - 1e-11 * np.eye(4) + 1e-11 * np.diag([1, 1, 1, 0]))
+@example(np.array([[0.5, 5e307, 0], [5e307, 0.5, 0], [0, 0, 5e-324]], dtype=complex))
+@example(np.array([[0.5, 0, 0], [0, 0.5, np.nan], [0, np.nan, 0]], dtype=complex))
 def test_qubit_fast_accept_accepts_only_what_the_general_check_accepts(m):
-    accepted = states._qubit_accepts(m.tolist())
+    accepted = states._scalar_accepts(m.tolist())
     fast = outcome(m)
-    with mock.patch.object(states, "_qubit_accepts", return_value=False):
+    with mock.patch.object(states, "_scalar_accepts", return_value=False):
         general = outcome(m)
     assert fast == general
     if accepted:
@@ -96,8 +159,29 @@ def test_qubit_fast_accept_accepts_only_what_the_general_check_accepts(m):
 )
 def test_ordinary_qubit_states_take_the_fast_path(m):
     m = np.array(m, dtype=complex)
-    assert states._qubit_accepts(m.tolist())
+    assert states._scalar_accepts(m.tolist())
     with mock.patch.object(states, "_validate", side_effect=AssertionError("general path ran")):
+        assert DensityMatrix(m).matrix.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ordinary_small_states_take_the_fast_path(d):
+    cases = [
+        states.gen_max_imaginary(d, 1, d).matrix,
+        states.gen_random_density(d, d).matrix,
+        np.eye(d, dtype=complex) / d,
+        states.from_pure(states.basis_state(d, d - 1)).matrix,
+    ]
+    for m in cases:
+        assert states._scalar_accepts(m.tolist())
+        with mock.patch.object(states, "_validate", side_effect=AssertionError("general path ran")):
+            assert DensityMatrix(m).matrix.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 5, 8])
+def test_other_sizes_take_the_general_check(d):
+    m = np.eye(d, dtype=complex) / d
+    with mock.patch.object(states, "_scalar_accepts", side_effect=AssertionError("fast path ran")):
         assert DensityMatrix(m).matrix.tobytes() == m.tobytes()
 
 
@@ -108,7 +192,7 @@ def test_fast_path_leaves_bounds_to_the_general_check():
     herm = np.array([[0.5, TOL], [0.0, 0.5]])
     edges = [np.array([[-TOL, 0.0], [0.0, 1.0 + TOL]]), np.array([[1.0 + TOL, 0.0], [0.0, -TOL]])]
     for m in (herm, *edges):
-        assert not states._qubit_accepts(m.astype(complex).tolist())
+        assert not states._scalar_accepts(m.astype(complex).tolist())
     DensityMatrix(herm)
     for edge in edges:
         with pytest.raises(StateValidationError, match="positive semidefinite"):

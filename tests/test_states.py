@@ -116,7 +116,7 @@ class TestEntryBound:
         m = OVERFLOWING[name]
         assert np.array_equal(m, m.conj().T) and m.trace() == 1.0
         if m.shape == (2, 2):
-            assert not states._qubit_accepts(m.tolist())
+            assert not states._scalar_accepts(m.tolist())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StateValidationError, match="positive semidefinite: min eigenvalue -"):
@@ -155,7 +155,8 @@ class TestEntryBound:
 
     def test_a_non_finite_factor_is_a_failed_factorization(self, monkeypatch):
         # LAPACK may return a factor holding NaN instead of failing; its
-        # diagonal is read, and the matrix is reported as not PSD.
+        # diagonal is read, and the matrix is reported as not PSD.  d = 5
+        # is past the scalar accept, so the general check runs.
         cholesky = np.linalg.cholesky
 
         def nan_factor(a):
@@ -165,7 +166,7 @@ class TestEntryBound:
 
         monkeypatch.setattr(np.linalg, "cholesky", nan_factor)
         with pytest.raises(StateValidationError, match="positive semidefinite"):
-            DensityMatrix(np.eye(3) / 3)
+            DensityMatrix(np.eye(5) / 5)
 
 
 class TestFromPure:
