@@ -18,8 +18,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import gatesim, linalg, measures, realops, states
 
 EXIT_OK = 0
@@ -92,8 +90,6 @@ def _cmd_convert(args) -> list:
     rho = _load(args.path, states.density_from_json)
     result = realops.convert_to_plus_hat(rho)
     dilation = realops.dilate(result.kraus)
-    n = dilation.unitary.shape[0]
-    ortho_residual = float(np.max(np.abs(dilation.unitary.T @ dilation.unitary - np.eye(n))))
     return [
         {
             "fidelity": result.fidelity,
@@ -102,7 +98,7 @@ def _cmd_convert(args) -> list:
             "dilation": {
                 "env_dim": dilation.env_dim,
                 "pad_dim": dilation.pad_dim,
-                "orthogonality_residual": ortho_residual,
+                "orthogonality_residual": dilation.orthogonality_residual,
             },
         }
     ]

@@ -25,10 +25,11 @@ call; `dataclasses.replace` gives a new instance that verifies afresh.
 
 What depends only on the unitary, the target and the dimensions is shared
 across instances: the finiteness, realness, orthogonality and unitarity
-checks (entries past 1 + CHECK_TOL fail before a Gram product can
-overflow), the (n^2, N, R + ro) probe factors F, their conjugate and a
-contiguous copy of its first R columns (the K block the residuals read),
-and the low end of `hs_consistency`'s range.  The S and CS gadget
+checks (the last two read `linalg._isometry_deviation`, which fails an
+entry past 1 + CHECK_TOL before a Gram product can overflow), the
+(n^2, N, R + ro) probe factors F, their conjugate and a contiguous copy
+of its first R columns (the K block the residuals read), and the low end
+of `hs_consistency`'s range.  The S and CS gadget
 unitaries are module constants, so every pipeline run and every
 `simulate` repeats them; each instance then pays only the dimension
 checks, the M assembly and the two batched products.  `_fixed_part`
@@ -102,28 +103,6 @@ def ry(theta: float) -> np.ndarray:
 def rx(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-#: Largest |Re| or |Im| an entry of a unitary can have, with room for
-#: rounding: a matrix past it is not unitary, and its Gram product could
-#: overflow, so it is rejected before that product.
-_UNITARY_ENTRY_BOUND = 1.0 + linalg.CHECK_TOL
-
-
-def _bounded(m: np.ndarray) -> bool:
-    """Whether every |Re| and |Im| of m is within _UNITARY_ENTRY_BOUND (False on NaN).
-
-    One minimum and one maximum over the reals of m, through which NaN
-    propagates, called as ufunc reductions, which skip the array methods'
-    wrappers: about 2.4 us at n <= 32 against 4.6 for |Re| and |Im| tested
-    apart.
-    """
-    parts = np.ascontiguousarray(m, dtype=complex).view(float)
-    bound = _UNITARY_ENTRY_BOUND
-    return bool(
-        -bound <= np.minimum.reduce(parts, axis=None, initial=0.0)
-        and np.maximum.reduce(parts, axis=None, initial=0.0) <= bound
-    )
 
 
 # --- simulation instances ---------------------------------------------------
@@ -211,17 +190,9 @@ def _fixed_part(u_bytes, u_shape, v_bytes, v_shape, d, ancilla_dim, ro):
         raise ValueError("target matrix contains non-finite entries")
     if np.abs(u.imag).max() > linalg.EXACT_TOL:
         raise ValueError("instance unitary must be real")
-    if not _bounded(u):
+    if u.shape != (big, big) or not linalg._isometry_deviation(u.real) <= linalg.EXACT_TOL:
         raise ValueError("instance unitary is not orthogonal")
-    gram = u.real.T @ u.real
-    gram.flat[:: big + 1] -= 1.0
-    if np.abs(gram).max() > linalg.EXACT_TOL:
-        raise ValueError("instance unitary is not orthogonal")
-    if not _bounded(v):
-        raise ValueError("target matrix is not unitary")
-    gram = v.conj().T @ v
-    gram.flat[:: n + 1] -= 1.0
-    if np.abs(gram).max() > linalg.EXACT_TOL:
+    if v.shape != (n, n) or not linalg._isometry_deviation(v) <= linalg.EXACT_TOL:
         raise ValueError("target matrix is not unitary")
     # Basis factors F_j = [K_j | L_j]: K_j is the columns of U with ancilla
     # index 0 and data index j, and L_j = I_ro (x) V|j>.
@@ -395,13 +366,13 @@ def phase_rigidity(v, tolerance: float = linalg.CHECK_TOL) -> PhaseRigidityResul
     If W = e^{i eta} I, then V' = e^{-i eta / 2} V is real orthogonal: V can
     only differ from a real orthogonal matrix by a global phase.  Otherwise
     V cannot be simulated with a zero resource.  Raises `ValueError` unless
-    V is a square, 2-D unitary; a NaN entry, or an |Re| or |Im| past
-    1 + CHECK_TOL, fails before the Gram product V^dag V could overflow.
+    V is a square, 2-D unitary within EXACT_TOL (`linalg._isometry_deviation`:
+    a NaN entry, or an |Re| or |Im| past 1 + CHECK_TOL, fails before the
+    Gram product V^dag V could overflow).
     """
     v = np.asarray(v, dtype=complex)
     linalg._require_square(v, "input matrix")
-    n = v.shape[0]
-    if not _bounded(v) or not np.max(np.abs(v.conj().T @ v - np.eye(n))) <= linalg.EXACT_TOL:
+    if not linalg._isometry_deviation(v) <= linalg.EXACT_TOL:
         raise ValueError("input matrix is not unitary")
     w = v.T @ v
     off = w - np.diag(np.diag(w))
@@ -467,9 +438,10 @@ def real_target_instance(
 
     Works for every resource state: U factorizes across the registers, so
     no imaginarity is consumed.  Both orthogonals must be square and pass
-    the unitary entry bound before they meet rho or each other, so no
-    product can overflow; past the bound `ValueError` says, as
-    `verify_instance` would, that the instance unitary is not orthogonal.
+    the isometry entry bound (`linalg._within`) before they meet rho or
+    each other, so no product can overflow; past the bound `ValueError`
+    says, as `verify_instance` would, that the instance unitary is not
+    orthogonal.
     U = O_r (x) O_d is the broadcast product `np.kron` forms, without its
     general-shape handling (about 3 us against 14 at d = 4, n = 8).
     """
@@ -481,7 +453,8 @@ def real_target_instance(
     )
     linalg._require_square(od, "data orthogonal")
     linalg._require_square(orr, "resource orthogonal")
-    if not (_bounded(od) and _bounded(orr)):
+    bound = linalg._ISOMETRY_ENTRY_BOUND
+    if not (linalg._within(od, bound) and linalg._within(orr, bound)):
         raise ValueError("instance unitary is not orthogonal")
     size = orr.shape[0] * od.shape[0]
     return SimulationInstance(

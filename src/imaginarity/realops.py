@@ -9,7 +9,10 @@ attains the best possible fidelity with |+i>:
 
 Every channel also carries a Stinespring dilation: the stacked isometry
 W = sum_m K_m (x) |m>_E completed to a square real orthogonal matrix, with
-the environment initialized to its first basis vector.  `apply_kraus`
+the environment initialized to its first basis vector.  A Kraus set's
+completeness and a dilation's orthogonality are both read from
+`linalg._isometry_deviation`, at EXACT_TOL; a `RealDilation` keeps the
+residual it measured, which `convert` reports.  `apply_kraus`
 (on the stored operators) and `apply_dilation` (on the dilation's unitary)
 run the same real contraction.
 
@@ -24,9 +27,10 @@ module's only state, and it is safe to share:
 * immutability: the objects are frozen and all their arrays read-only;
 * threads: two threads that miss together build the family (or its
   dilation) twice, which is harmless, since both results are equal.
-Each d thus pays the completeness check and the orthonormal completion
-once, not once per conversion.  A cold CLI process converts one state, so
-it builds its channel once anyway and gains only the row gather below.
+Each d thus pays the completeness check, the orthonormal completion and
+the dilation's orthogonality check once, not once per conversion.  A cold
+CLI process converts one state, so it builds its channel once anyway and
+gains only the row gather below.
 
 Both channel paths multiply the alignment O by the stacked rows W of the
 channel.  When every row of W has at most one nonzero, as for the fixed
@@ -52,7 +56,7 @@ OpenBLAS 0.3.31 it does at d = 6 and 7, and at most d >= 18 that are not
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -104,7 +108,7 @@ class RealKrausSet:
                 f"({self.out_dim}, {self.in_dim})"
             )
         stacked = linalg._as_real_matrix(ops.reshape(-1, self.in_dim), "Kraus operators")
-        dev = np.max(np.abs(stacked.T @ stacked - np.eye(self.in_dim)))
+        dev = linalg._isometry_deviation(stacked)
         if not dev <= linalg.EXACT_TOL:
             raise ValueError(f"Kraus set is not trace preserving (deviation {dev:.3e})")
         ops = stacked.reshape(ops.shape).copy()
@@ -143,16 +147,24 @@ class RealDilation:
     the first in_dim coordinates (pad_dim extra coordinates stay unused).
     Row index order is [output system, environment].  It is copied at
     construction and read-only, so nothing derived from it goes stale.
+    It must be square and orthogonal within EXACT_TOL; the deviation
+    max |U^T U - I| measured then is kept as `orthogonality_residual`.
     """
 
     unitary: np.ndarray
     env_dim: int
     pad_dim: int
+    orthogonality_residual: float = field(init=False)
 
     def __post_init__(self):
         unitary = np.array(linalg._as_real_matrix(self.unitary, "unitary"))
+        linalg._require_square(unitary, "unitary")
+        residual = linalg._isometry_deviation(unitary)
+        if not residual <= linalg.EXACT_TOL:
+            raise ValueError(f"unitary is not orthogonal (max deviation {residual:.3e})")
         unitary.setflags(write=False)
         object.__setattr__(self, "unitary", unitary)
+        object.__setattr__(self, "orthogonality_residual", residual)
 
     @linalg._cached
     def _gather(self):

@@ -164,18 +164,16 @@ def _validate(m: np.ndarray) -> None:
     """Raise StateValidationError unless the complex array m is a density matrix.
 
     m is C-contiguous.  Finiteness and the entry bound take one pass over
-    its reals, a minimum and a maximum, through which NaN propagates and
-    past which inf lies; only a failure pays a second pass, so NaN and inf
-    keep their own message.  A finite matrix past the bound is never
-    factored, since its pivots could overflow, but the checks still run in
-    order, with overflow to inf allowed, so its message names the first
-    check it fails; a Hermitian unit-trace one fails PSD (`_entry_bound`).
+    its reals, `linalg._within`, which a NaN fails and past which inf
+    lies; only a failure pays a second pass, so NaN and inf keep their own
+    message.  A finite matrix past the bound is never factored, since its
+    pivots could overflow, but the checks still run in order, with
+    overflow to inf allowed, so its message names the first check it
+    fails; a Hermitian unit-trace one fails PSD (`_entry_bound`).
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
-    parts = m.view(float)
-    bound = _entry_bound(m.shape[0])
-    if -bound <= parts.min(initial=0.0) and parts.max(initial=0.0) <= bound:
+    if linalg._within(m, _entry_bound(m.shape[0])):
         _check(m, factor=True)
         return
     if not np.isfinite(m).all():
@@ -330,12 +328,6 @@ def plus_i() -> PureState:
 def minus_i() -> PureState:
     """(|0> - i|1>)/sqrt(2)."""
     return PureState(np.array([1.0, -1.0j]) / np.sqrt(2.0))
-
-
-def basis_state(dim: int, index: int = 0) -> PureState:
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return PureState(amps)
 
 
 def from_pure(psi: PureState) -> DensityMatrix:

@@ -30,6 +30,11 @@ from imaginarity.gatesim import (
 from imaginarity.states import BlochVector, DensityMatrix
 
 
+def basis_state(dim, index=0):
+    """The pure state |index> of dimension dim."""
+    return states.PureState(np.eye(dim)[index])
+
+
 def random_unitary(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
@@ -67,7 +72,7 @@ def probe_loop(inst):
     for j in range(n):
         for k in range(j + 1, n):
             probes += [(eye[j] + eye[k]) / np.sqrt(2), (eye[j] + 1j * eye[k]) / np.sqrt(2)]
-    anc = states.from_pure(states.basis_state(inst.ancilla_dim)).matrix
+    anc = states.from_pure(basis_state(inst.ancilla_dim)).matrix
     left_in = np.kron(inst.resource.matrix, anc)
     left_out = np.kron(inst.residual.matrix, states.from_pure(inst.out_ancilla).matrix)
     dims = [inst.residual.dim, inst.out_ancilla.dim, n]
@@ -118,7 +123,7 @@ def oracle_instances():
                 ancilla_dim=1,
                 target=random_unitary(n, rng),
                 residual=rho,
-                out_ancilla=states.basis_state(1),
+                out_ancilla=basis_state(1),
             )
         )
     base = cs_gadget()
@@ -359,7 +364,7 @@ class TestFixedPartCache:
     def test_replace_recomputes_the_deviations_of_a_shared_entry(self):
         inst = s_gadget()
         assert verify_instance(inst).holds
-        zero = states.from_pure(states.basis_state(2))
+        zero = states.from_pure(basis_state(2))
         real = dataclasses.replace(inst, resource=zero, residual=zero)
         assert not verify_instance(real).holds
         assert real._fixed is inst._fixed
@@ -596,7 +601,7 @@ class TestHsConsistency:
             ancilla_dim=1,
             target=np.diag([1.0, np.exp(1j * theta)]),
             residual=rho,
-            out_ancilla=states.basis_state(1),
+            out_ancilla=basis_state(1),
         )
         rec = hs_consistency(inst)
         want = measures.overlap_conj(rho) * np.sin(theta) ** 2

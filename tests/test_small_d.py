@@ -170,7 +170,7 @@ def test_ordinary_small_states_take_the_fast_path(d):
         states.gen_max_imaginary(d, 1, d).matrix,
         states.gen_random_density(d, d).matrix,
         np.eye(d, dtype=complex) / d,
-        states.from_pure(states.basis_state(d, d - 1)).matrix,
+        states.from_pure(states.PureState(np.eye(d)[d - 1])).matrix,
     ]
     for m in cases:
         assert states._scalar_accepts(m.tolist())

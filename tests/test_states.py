@@ -171,7 +171,7 @@ class TestEntryBound:
 
 class TestFromPure:
     def test_basis_state(self):
-        rho = states.from_pure(states.basis_state(2, 0))
+        rho = states.from_pure(PureState(np.eye(2)[0]))
         np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]))
 
     def test_plus_i(self):

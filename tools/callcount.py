@@ -46,6 +46,7 @@ import spans  # noqa: E402
 
 #: Internal helpers counted as stages of their own, next to spans.TRACED.
 HELPERS = (
+    ("linalg", "_within", "linalg._within"),
     ("linalg", "_symmetric_part", "linalg._symmetric_part"),
     ("linalg", "_canonical_form", "linalg._canonical_form"),
     ("linalg", "_cuts", "linalg._cuts"),
