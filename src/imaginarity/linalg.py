@@ -66,6 +66,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -316,6 +318,21 @@ def orthonormal_complete(columns) -> np.ndarray:
     return out
 
 
+class FormCertificate(NamedTuple):
+    """Which path built a `SkewCanonicalForm`, and the bound it certifies.
+
+    `path` is "dense" (the eigensolve of A^T A at full size, or the qubit
+    closed form) or "range" (the range finder of `_range_form`).  `bound`
+    is the Frobenius norm that the couplings the form dropped stay within:
+    the cutoff on the dense path; on the range path half the cutoff for
+    the cuts of the compressed matrix plus sqrt(2) times the measured
+    range-capture residual.  Either way it is at most EXACT_TOL * max(1, a_max).
+    """
+
+    path: str
+    bound: float
+
+
 @dataclass(frozen=True, eq=False)
 class SkewCanonicalForm:
     """Canonical form of a real skew-symmetric matrix A.
@@ -323,11 +340,13 @@ class SkewCanonicalForm:
     `orthogonal` O satisfies O A O^T = direct sum of blocks
     a_m * [[0, -1], [1, 0]] (a_m >= 0, descending, zero blocks included)
     followed by a single unpaired zero dimension when the size is odd.
+    `certificate` records the path that built it and its accuracy bound.
     """
 
     block_values: np.ndarray
     orthogonal: np.ndarray
     residual_dim: int
+    certificate: FormCertificate = FormCertificate("dense", EXACT_TOL)
 
     def reconstruct(self) -> np.ndarray:
         """Rebuild the input matrix as O^T (blocks) O."""
@@ -502,11 +521,99 @@ def _skew_part(a: np.ndarray) -> np.ndarray:
     return _symmetric_part(a, skew=True)[1]
 
 
-def _canonical_form(A: np.ndarray) -> SkewCanonicalForm:
-    """The form `skew_canonical` gives, for an exactly skew-symmetric real A.
+#: Smallest d at which a validated state computes a rank hint and may take
+#: the range path (`_range_form`).  Below it the dense path is cheap enough
+#: (about 0.4 ms at d = 64) that a missed hint costs more than it saves;
+#: tools/canonical_paths.py prints both paths' times per (d, rank).
+_RANGE_FROM = 128
+
+#: Columns of the sketch beyond twice the rank hint: the hint counts pivots
+#: of rho, it can fall a pivot or two short, and Im(rho) has rank at most
+#: twice the rank of rho.
+_OVERSAMPLE = 8
+
+
+def _canonical_form(A: np.ndarray, rank_hint: int | None = None) -> SkewCanonicalForm:
+    """The form of an exactly skew-symmetric real A, by the dense or the range path.
 
     A has passed the checks already: it is finite, square and the skew
-    part (A - A^T) / 2 of the input, so A^T = -A bit for bit.
+    part (A - A^T) / 2 of the input, so A^T = -A bit for bit.  Without a
+    rank hint, or with one above d / 4, the form is `skew_canonical`'s,
+    bit for bit (`_dense_form`).  With a hint of at most d / 4, where the
+    sketch has k = 2 * hint + _OVERSAMPLE <= d / 2 + _OVERSAMPLE columns
+    (about where the two paths break even), the range finder is tried
+    first; it hands back None, and the dense path decides, when the sketch
+    misses part of the range of A.
+    """
+    if rank_hint is not None and 4 * rank_hint <= A.shape[0]:
+        form = _range_form(A, 2 * rank_hint + _OVERSAMPLE)
+        if form is not None:
+            return form
+    return _dense_form(A)
+
+
+@lru_cache(maxsize=8)
+def _sketch(d: int) -> np.ndarray:
+    """The read-only Gaussian test matrix of d rows and d // 2 + _OVERSAMPLE columns.
+
+    Seeded, so every call and every process sketches with the same
+    matrix; `_range_form` reads its leading k columns.  Drawing it costs
+    about 2.8 ms at d = 512, so each d draws it once, through a bounded
+    LRU cache of 8 dimensions, about 4 d^2 bytes each (1 MB at d = 512).
+    """
+    omega = np.random.default_rng(d).standard_normal((d, d // 2 + _OVERSAMPLE))
+    omega.setflags(write=False)
+    return omega
+
+
+def _range_form(A: np.ndarray, k: int) -> SkewCanonicalForm | None:
+    """The form of an exactly skew A whose range lies within k dimensions, or None.
+
+    The range finder of Halko, Martinsson and Tropp (SIAM Rev. 53, 2011):
+    Y = A Omega for the sketch Omega, its Householder QR, and the full
+    orthogonal Q = I - V T V^T from the compact WY form (Schreiber and Van
+    Loan, SIAM J. Sci. Stat. Comput. 10, 1989), whose first k columns Q_k
+    span the range of Y.  B = Q_k^T A Q_k goes through `_dense_form` at
+    size k, and the rows are [O_B Q_k^T ; Q_perp^T], with Q_perp's rows
+    all kernel.  In the basis Q the couplings dropped outside B have
+    Frobenius norm at most sqrt(2) * ||A - Q_k Q_k^T A||_F, the measured
+    residual; B's cuts keep half the cutoff, so when sqrt(2) * residual
+    is within the other half (EXACT_TOL / 2, at most half the cutoff) the
+    form meets the dense path's bound.  Otherwise None.  The results agree
+    with the dense path's to rounding, not bit for bit.
+    """
+    d = A.shape[0]
+    h, tau = np.linalg.qr(A @ _sketch(d)[:, :k], mode="raw")
+    v = np.tril(h.T, -1)
+    v[np.arange(k), np.arange(k)] = 1.0
+    s = v.T @ v
+    t = np.zeros((k, k))
+    for j, tj in enumerate(tau.tolist()):  # T of the compact WY form, a column at a time
+        t[:j, j] = -tj * (t[:j, :j] @ s[:j, j])
+        t[j, j] = tj
+    rows = v @ (v @ t).T  # V T^T V^T, the transpose of I - Q
+    np.negative(rows, out=rows)
+    rows.flat[:: d + 1] += 1.0  # rows of Q^T: Q_k^T, then Q_perp^T
+    aq = A @ rows[:k].T
+    slack = math.sqrt(2.0) * float(np.linalg.norm(A + rows[:k].T @ aq.T))
+    if not slack <= EXACT_TOL / 2:  # NaN fails too
+        return None
+    b = rows[:k] @ aq
+    form = _dense_form(_skew_part(b), cut_share=0.5)
+    rows[:k] = form.orthogonal @ rows[:k]
+    return SkewCanonicalForm(
+        block_values=np.concatenate([form.block_values, np.zeros(d // 2 - k // 2)]),
+        orthogonal=rows,
+        residual_dim=d % 2,
+        certificate=FormCertificate("range", form.certificate.bound + slack),
+    )
+
+
+def _dense_form(A: np.ndarray, cut_share: float = 1.0) -> SkewCanonicalForm:
+    """The form `skew_canonical` gives, for an exactly skew-symmetric real A.
+
+    The cuts drop couplings up to `cut_share` times the cutoff in all
+    (the whole cutoff on the dense path; `_range_form` keeps half).
     """
     d = A.shape[0]
     g, q = np.linalg.eigh(A.T @ A)
@@ -514,7 +621,8 @@ def _canonical_form(A: np.ndarray) -> SkewCanonicalForm:
     cutoff = EXACT_TOL * max(1.0, math.sqrt(max(float(g[-1]), 0.0) if d else 0.0))
     t = q.T @ A @ q
     o = q.T  # rows of the result; the cluster step rewrites its own rows
-    cuts = _cuts(t, cutoff)
+    budget = cutoff * cut_share
+    cuts = _cuts(t, budget)
 
     blocks = []  # (value, first row, second row) for each cluster [s, e)
     for s, e in zip([0] + cuts, cuts + [d]):
@@ -534,4 +642,5 @@ def _canonical_form(A: np.ndarray) -> SkewCanonicalForm:
         block_values=np.array([b[0] for b in blocks] + [0.0] * ((d - len(top)) // 2)),
         orthogonal=o[top + [r for r in range(d) if r not in taken]],
         residual_dim=d % 2,
+        certificate=FormCertificate("dense", budget),
     )

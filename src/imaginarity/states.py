@@ -34,7 +34,7 @@ unitaries of `rigidity` through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,8 +160,11 @@ def _scalar_accepts(rows) -> bool:
     return abs(trace - 1.0) <= tol - d * d * math.ulp(1.0)
 
 
-def _validate(m: np.ndarray) -> None:
+def _validate(m: np.ndarray) -> int | None:
     """Raise StateValidationError unless the complex array m is a density matrix.
+
+    Returns the rank hint of `_check`: from d = linalg._RANGE_FROM on, the
+    count of Cholesky pivots above CHECK_TOL ** 0.25; below it, None.
 
     m is C-contiguous.  Finiteness and the entry bound take one pass over
     its reals, `linalg._within`, which a NaN fails and past which inf
@@ -174,20 +177,23 @@ def _validate(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateValidationError(f"density matrix must be square, got shape {m.shape}")
     if linalg._within(m, _entry_bound(m.shape[0])):
-        _check(m, factor=True)
-        return
+        return _check(m, factor=True)
     if not np.isfinite(m).all():
         raise StateValidationError("density matrix contains non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
         _check(m, factor=False)
 
 
-def _check(m: np.ndarray, factor: bool) -> None:
+def _check(m: np.ndarray, factor: bool) -> int | None:
     """The Hermitian, trace and PSD checks of a finite m, in that order.
 
     Without `factor` the PSD check fails without a factorization.  The
     factor's diagonal is read as well: LAPACK can return a factor holding
-    inf or NaN, instead of failing, when a pivot overflows.
+    inf or NaN, instead of failing, when a pivot overflows.  From d =
+    linalg._RANGE_FROM on, an accepted m also returns how many pivots
+    exceed CHECK_TOL ** 0.25 (pivot^2 above sqrt(CHECK_TOL), the geometric
+    mean of the shift and 1): a guess at the rank of rho, which a shifted
+    kernel direction's pivot stays well below.  Below that size, None.
     """
     herm, h = linalg._symmetric_part(m)
     if herm > linalg.CHECK_TOL:
@@ -200,8 +206,11 @@ def _check(m: np.ndarray, factor: bool) -> None:
         try:
             # h is Hermitian, so the F-contiguous h.T is conj(h): it has the
             # same pivots, and numpy need not transpose it into LAPACK order.
-            if np.isfinite(np.linalg.cholesky(h.T).diagonal()).all():
-                return
+            pivots = np.linalg.cholesky(h.T).diagonal()
+            if np.isfinite(pivots).all():
+                if len(m) < linalg._RANGE_FROM:
+                    return None
+                return int(np.count_nonzero(pivots.real > linalg.CHECK_TOL**0.25))
         except np.linalg.LinAlgError:
             pass
     # halves first: past the entry bound, m + m^dag can overflow
@@ -237,19 +246,27 @@ class DensityMatrix:
     Hermitian deviation |m - m^dag| is within CHECK_TOL, so the imaginary
     part of that deviation, the skew deviation |Im m + (Im m)^T| of
     Im(rho), is too.  Those are `linalg.skew_canonical`'s checks, which
-    `imag_canonical` therefore skips from d = 3 on.  Nothing extra is
-    stored for it: the form is still computed on first use from the
-    stored matrix.
+    `imag_canonical` therefore skips from d = 3 on.
+
+    From d = linalg._RANGE_FROM on, validation also keeps, as the private
+    `_rank_hint`, how many of the factor's pivots are not tiny (see
+    `_check`); below that size nothing extra is computed and it is None.
+    The hint lets the canonical form of a low-rank state take the range
+    path (`linalg._range_form`), whose own residual check decides whether
+    the hint was good enough.
     """
 
     matrix: np.ndarray
+    _rank_hint: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, order="C")
+        hint = None
         if m.shape not in _SCALAR_SHAPES or not _scalar_accepts(m.tolist()):
-            _validate(m)
+            hint = _validate(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_rank_hint", hint)
 
     @linalg._cached
     def imag_canonical(self) -> linalg.SkewCanonicalForm:
@@ -260,14 +277,19 @@ class DensityMatrix:
         passed what `linalg.skew_canonical` checks (see the class
         docstring), so from d = 3 on the skew part, formed as
         `skew_canonical` forms it, goes straight to its core
-        (`linalg._canonical_form`): the result is the same bit for bit.  A
-        qubit still takes `skew_canonical` and its closed form.
+        (`linalg._canonical_form`) with the rank hint.  Without a hint
+        (d < linalg._RANGE_FROM) or with one above d / 4, the dense path
+        runs and the result is `skew_canonical`'s bit for bit.  A low-rank
+        state from linalg._RANGE_FROM on takes the range path when its
+        residual check passes, and then agrees with `skew_canonical` to
+        rounding only; `certificate.path` tells which.  A qubit still
+        takes `skew_canonical` and its closed form.
         """
         a = self.matrix.imag
         if len(a) <= 2:
             form = linalg.skew_canonical(a)
         else:
-            form = linalg._canonical_form(linalg._skew_part(a))
+            form = linalg._canonical_form(linalg._skew_part(a), self._rank_hint)
         form.block_values.setflags(write=False)
         form.orthogonal.setflags(write=False)
         return form
