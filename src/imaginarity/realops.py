@@ -198,7 +198,10 @@ def align_for_state(rho: DensityMatrix) -> np.ndarray:
     Canonicalizes Im(rho) into 2x2 blocks and orients each block so that it
     contributes +a_m to <+i| Lambda[O rho O^T] |+i|>, which sums to the
     optimum 1/2 + ||rho - rho*||_1 / 4.  The canonical form is the state's
-    cached one, shared with `measures.imaginarity_trace_norm`.
+    cached one, shared with `measures.imaginarity_trace_norm`.  For a
+    low-rank state from d = linalg._RANGE_FROM on it may come from the
+    range path, so the alignment, the kernel rows and the conversion's
+    output agree with those from `linalg.skew_canonical` to rounding only.
     """
     form = rho.imag_canonical
     rows = np.arange(form.orthogonal.shape[0])

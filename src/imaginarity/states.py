@@ -10,7 +10,10 @@ spectrum is computed only to report a rejection.  A density matrix also
 carries the 2x2-block canonical form of its Im(rho), computed once on
 first use, which every measure and the optimal alignment read.  What
 validation proves is not checked again: from d = 3 on the form skips
-`linalg.skew_canonical`'s input checks (see `DensityMatrix`).
+`linalg.skew_canonical`'s input checks (see `DensityMatrix`).  From
+d = linalg._RANGE_FROM on, validation also counts the factor's pivots
+above CHECK_TOL ** 0.25 as a rank hint, which lets a low-rank state's form
+take the range path of `linalg._canonical_form`.
 
 A qubit, the paper's resource and the output of every optimal
 conversion, is the most frequent state, and up to d = 4 the numpy calls
@@ -34,7 +37,7 @@ unitaries of `rigidity` through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,16 +260,16 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    _rank_hint: int | None = field(default=None, init=False, repr=False)
+    _rank_hint = None  # not a field: set on the instance only when computed
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex, order="C")
-        hint = None
         if m.shape not in _SCALAR_SHAPES or not _scalar_accepts(m.tolist()):
             hint = _validate(m)
+            if hint is not None:
+                object.__setattr__(self, "_rank_hint", hint)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_rank_hint", hint)
 
     @linalg._cached
     def imag_canonical(self) -> linalg.SkewCanonicalForm:
