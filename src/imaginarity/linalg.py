@@ -540,9 +540,10 @@ def _skew_part(a: np.ndarray) -> np.ndarray:
 
 
 #: Smallest d at which a validated state computes a rank hint and may take
-#: the range path (`_range_form`).  Below it the dense path is cheap enough
-#: (about 0.4 ms at d = 64) that a missed hint costs more than it saves;
-#: tools/canonical_paths.py prints both paths' times per (d, rank).
+#: the range path (`_range_form`).  Below it the dense path takes under
+#: about 2 ms, and at d = 64 a hint of d / 4 would lose (0.70 against
+#: 0.47 ms for rank 16); tools/canonical_paths.py prints both paths' times
+#: per (d, rank).
 _RANGE_FROM = 128
 
 #: Columns of the sketch beyond twice the rank hint: the hint counts pivots
