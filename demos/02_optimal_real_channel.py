@@ -15,12 +15,12 @@ import numpy as np
 from imaginarity import (
     apply_dilation,
     build_kraus,
+    classify,
     convert_to_plus_hat,
     dilate,
     from_pure,
     gen_max_imaginary,
     gen_random_density,
-    imaginarity_fidelity,
     plus_i,
     state_of,
     BlochVector,
@@ -38,7 +38,7 @@ print("real input           -> fidelity", f"{result.fidelity:.12f}")
 rho = state_of(BlochVector(0.0, 0.5, 0.0))
 result = convert_to_plus_hat(rho)
 print("Bloch (0, 0.5, 0)    -> fidelity", f"{result.fidelity:.12f}",
-      " optimum:", imaginarity_fidelity(rho))
+      " optimum:", classify(rho).imag_fidelity)
 
 # The Kraus family itself is tiny: d/2 (or (d+1)/2) operators of 0s and 1s.
 kraus = build_kraus(4)

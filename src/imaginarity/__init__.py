@@ -26,10 +26,8 @@ from .measures import (
     ClassificationReport,
     classify,
     classify_bloch,
-    imaginarity_fidelity,
     imaginarity_trace_norm,
     overlap_conj,
-    robustness,
 )
 from .realops import (
     RealDilation,
@@ -73,10 +71,8 @@ __all__ = [
     "ClassificationReport",
     "classify",
     "classify_bloch",
-    "imaginarity_fidelity",
     "imaginarity_trace_norm",
     "overlap_conj",
-    "robustness",
     "RealDilation",
     "RealKrausSet",
     "align_for_state",

@@ -211,9 +211,21 @@ def _fixed_part(u_bytes, u_shape, v_bytes, v_shape, d, ancilla_dim, ro):
     kc = np.ascontiguousarray(fc[:, :, :d])
     for a in (f, fc, kc):
         a.setflags(write=False)
-    angles = np.sort(np.angle(np.linalg.eigvals(v.T @ v)))
-    gap = np.max(np.diff(angles, append=angles[0] + 2.0 * np.pi))
+    gap = _gram_gap(v)[1]
     return f, max(0.0, -float(np.cos(gap / 2.0))), fc, kc
+
+
+def _gram_gap(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """W = V^T V of a checked unitary V, and g, the largest cyclic gap of W's eigenvalue angles.
+
+    The one reading of W: W is unitary, so its eigenvalues lie on the unit
+    circle, all within an arc of 2 pi - g.  That arc sets the range
+    [max(0, -cos(g / 2)), 1] of |<psi|W|psi>| (`hs_consistency`), and W is
+    e^{i eta} I exactly when it is a point (`phase_rigidity`).
+    """
+    w = v.T @ v
+    angles = np.sort(np.angle(np.linalg.eigvals(w)))
+    return w, float(np.max(np.diff(angles, append=angles[:1] + 2.0 * np.pi)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +331,8 @@ def hs_consistency(inst: SimulationInstance) -> dict:
 
     The instance must verify at CHECK_TOL, a check that reads the
     deviations an earlier `verify_instance` cached.  `low` depends on V
-    alone, so it is computed with the probe factors and cached with them.
+    alone, so it is computed with the probe factors and cached with them;
+    g comes from `_gram_gap`, the reading of W that `phase_rigidity` uses.
     """
     report = verify_instance(inst)
     if not report.holds:
@@ -365,25 +378,22 @@ def phase_rigidity(v, tolerance: float = linalg.CHECK_TOL) -> PhaseRigidityResul
 
     If W = e^{i eta} I, then V' = e^{-i eta / 2} V is real orthogonal: V can
     only differ from a real orthogonal matrix by a global phase.  Otherwise
-    V cannot be simulated with a zero resource.  Raises `ValueError` unless
-    V is a square, 2-D unitary within EXACT_TOL (`linalg._isometry_deviation`:
-    a NaN entry, or an |Re| or |Im| past 1 + CHECK_TOL, fails before the
-    Gram product V^dag V could overflow).
+    V cannot be simulated with a zero resource.  W is read as
+    `hs_consistency` reads it (`_gram_gap`): it counts as e^{i eta} I when
+    its eigenvalue angles lie within an arc of at most `tolerance`, and eta
+    is then the angle of the mean of its diagonal.  Raises `ValueError`
+    unless V is a square, 2-D unitary within EXACT_TOL
+    (`linalg._isometry_deviation`: a NaN entry, or an |Re| or |Im| past
+    1 + CHECK_TOL, fails before the Gram product V^dag V could overflow).
     """
     v = np.asarray(v, dtype=complex)
     linalg._require_square(v, "input matrix")
     if not linalg._isometry_deviation(v) <= linalg.EXACT_TOL:
         raise ValueError("input matrix is not unitary")
-    w = v.T @ v
-    off = w - np.diag(np.diag(w))
-    diag = np.diag(w)
-    is_phase = (
-        float(np.max(np.abs(off))) <= tolerance
-        and float(np.max(np.abs(diag - diag[0]))) <= tolerance
-    )
-    if not is_phase:
+    w, gap = _gram_gap(v)
+    if not 2.0 * np.pi - gap <= tolerance:
         return PhaseRigidityResult(w, False, None, None, False)
-    eta = float(np.angle(np.mean(diag)))
+    eta = float(np.angle(np.mean(np.diag(w))))
     realified = np.exp(-0.5j * eta) * v
     # real up to an overall sign: the eta/2 branch may flip it
     is_real = float(np.max(np.abs(realified.imag))) <= max(tolerance, linalg.EXACT_TOL)

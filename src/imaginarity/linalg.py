@@ -149,7 +149,8 @@ def _isometry_deviation(m: np.ndarray) -> float:
     if not _within(m, _ISOMETRY_ENTRY_BOUND):
         return math.inf
     gram = (m.conj().T if m.dtype.kind == "c" else m.T) @ m
-    return float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+    gram.flat[:: len(gram) + 1] -= 1.0  # in place: the Gram product is the one k x k array
+    return float(np.abs(gram, out=gram.real).max(initial=0.0))
 
 
 def _checked(m: np.ndarray, name: str) -> np.ndarray:
@@ -595,11 +596,12 @@ def _range_form(A: np.ndarray, k: int) -> SkewCanonicalForm | None:
     span the range of Y.  B = Q_k^T A Q_k goes through `_dense_form` at
     size k, and the rows are [O_B Q_k^T ; Q_perp^T], with Q_perp's rows
     all kernel.  In the basis Q the couplings dropped outside B have
-    Frobenius norm at most sqrt(2) * ||A - Q_k Q_k^T A||_F, the measured
-    residual; B's cuts keep half the cutoff, so when sqrt(2) * residual
-    is within the other half (EXACT_TOL / 2, at most half the cutoff) the
-    form meets the dense path's bound.  Otherwise None.  The results agree
-    with the dense path's to rounding, not bit for bit.
+    Frobenius norm at most sqrt(2) * ||Q_perp^T A||_F, the measured
+    range-capture residual, read from the rows the form returns; B's cuts
+    keep half the cutoff, so when sqrt(2) * residual is within the other
+    half (EXACT_TOL / 2, at most half the cutoff) the form meets the dense
+    path's bound.  Otherwise None.  The results agree with the dense
+    path's to rounding, not bit for bit.
     """
     d = A.shape[0]
     h, tau = np.linalg.qr(A @ _sketch(d)[:, :k], mode="raw")
@@ -611,13 +613,13 @@ def _range_form(A: np.ndarray, k: int) -> SkewCanonicalForm | None:
         t[:j, j] = -tj * (t[:j, :j] @ s[:j, j])
         t[j, j] = tj
     rows = v @ (v @ t).T  # V T^T V^T, the transpose of I - Q
+    del h, v, s, t  # the products below hold only the rows and one (d - k) x d residual
     np.negative(rows, out=rows)
     rows.flat[:: d + 1] += 1.0  # rows of Q^T: Q_k^T, then Q_perp^T
-    aq = A @ rows[:k].T
-    slack = math.sqrt(2.0) * float(np.linalg.norm(A + rows[:k].T @ aq.T))
+    slack = math.sqrt(2.0) * float(np.linalg.norm(rows[k:] @ A))
     if not slack <= EXACT_TOL / 2:  # NaN fails too
         return None
-    b = rows[:k] @ aq
+    b = rows[:k] @ (A @ rows[:k].T)
     form = _dense_form(_skew_part(b), cut_share=0.5)
     rows[:k] = form.orthogonal @ rows[:k]
     return SkewCanonicalForm(

@@ -3,7 +3,8 @@
 A state is a universal resource exactly when tr[rho rho*] = 0,
 equivalently ||rho - rho*||_1 = 2; every other state is a zero resource
 (there is no middle ground).  The three measures are tied together by the
-closed forms F_I = 1/2 + ||rho - rho*||_1 / 4 and R = ||rho - rho*||_1 / 2.
+closed forms F_I = 1/2 + ||rho - rho*||_1 / 4 and R = ||rho - rho*||_1 / 2;
+`classify` reports all of them, so F_I and R are read from its report.
 """
 
 from __future__ import annotations
@@ -58,16 +59,6 @@ def imaginarity_trace_norm(rho: DensityMatrix) -> float:
     alignment reuses.
     """
     return 4.0 * float(rho.imag_canonical.block_values.sum())
-
-
-def imaginarity_fidelity(rho: DensityMatrix) -> float:
-    """Best fidelity of a real-operation transformation to |+i>."""
-    return classify(rho).imag_fidelity
-
-
-def robustness(rho: DensityMatrix) -> float:
-    """Robustness of imaginarity, by the closed form ||rho - rho*||_1 / 2."""
-    return classify(rho).robustness
 
 
 def classify(rho: DensityMatrix, tolerance: float = linalg.VERDICT_TOL) -> ClassificationReport:

@@ -331,7 +331,10 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        r2 = self.x**2 + self.y**2 + self.z**2
+        try:
+            r2 = self.x**2 + self.y**2 + self.z**2
+        except OverflowError:  # a coordinate past about 1e154 lies far outside
+            r2 = math.inf
         if not r2 <= 1.0 + linalg.CHECK_TOL:  # also rejects NaN and inf
             raise StateValidationError(
                 f"Bloch vector ({self.x}, {self.y}, {self.z}) lies outside "

@@ -37,7 +37,7 @@ def _orthogonal_support_pair(dim, split, seed):
 
 def test_criterion_1_canonical_values():
     rho = states.from_pure(states.plus_i())
-    assert abs(measures.imaginarity_fidelity(rho) - 1.0) <= 1e-12
+    assert abs(measures.classify(rho).imag_fidelity - 1.0) <= 1e-12
     assert abs(measures.overlap_conj(rho)) <= 1e-12
     assert abs(measures.imaginarity_trace_norm(rho) - 2.0) <= 1e-12
     assert measures.classify(rho).verdict == UNIVERSAL

@@ -626,6 +626,35 @@ class TestPhaseRigidity:
         assert not res.is_phase_multiple_of_identity
         np.testing.assert_allclose(res.gram, np.diag([1, -1]), atol=1e-14)
 
+    @staticmethod
+    def spread_unitary(spread):
+        # V = R diag(1, e^{i spread / 2}) R^T with R a 45-degree rotation:
+        # W = V^T V has eigenvalue angles {0, spread}, equal diagonal entries
+        # and off-diagonal entries of modulus about spread / 2.
+        r = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        return r @ np.diag([1.0, np.exp(0.5j * spread)]) @ r.T
+
+    def test_angular_spread_just_within_tolerance_is_rigid(self):
+        res = phase_rigidity(self.spread_unitary(0.9 * linalg.CHECK_TOL))
+        assert res.is_phase_multiple_of_identity and res.realified_is_real
+        assert abs(res.eta - 0.45 * linalg.CHECK_TOL) <= 1e-15
+
+    def test_angular_spread_just_past_tolerance_is_not_rigid(self):
+        # The entrywise test read |W_01| = 0.55 CHECK_TOL here and accepted it.
+        v = self.spread_unitary(1.1 * linalg.CHECK_TOL)
+        res = phase_rigidity(v)
+        assert not res.is_phase_multiple_of_identity
+        assert res.eta is None and res.realified is None
+        assert phase_rigidity(v, tolerance=1.2 * linalg.CHECK_TOL).is_phase_multiple_of_identity
+
+    def test_gram_is_the_one_reading_hs_consistency_uses(self):
+        v = random_unitary(4, np.random.default_rng(11))
+        w, gap = gatesim._gram_gap(v)
+        assert phase_rigidity(v).gram.tobytes() == w.tobytes() == (v.T @ v).tobytes()
+        one = DensityMatrix(np.eye(1))
+        inst = SimulationInstance(np.eye(4), one, 1, v, one, basis_state(1))
+        assert inst._fixed[1] == max(0.0, -float(np.cos(gap / 2.0)))
+
     def test_rejects_non_unitary(self):
         for bad in (np.eye(2) * 0.5, np.array([[np.nan, 0.0], [0.0, 1.0]])):
             with pytest.raises(ValueError, match="unitary"):

@@ -41,21 +41,24 @@ class TestOverlapConj:
 class TestMeasureTriple:
     def test_real_state(self):
         rho = DensityMatrix(np.diag([0.2, 0.8]))
+        report = measures.classify(rho)
         assert measures.imaginarity_trace_norm(rho) == 0
-        assert measures.imaginarity_fidelity(rho) == 0.5
-        assert measures.robustness(rho) == 0
+        assert report.imag_fidelity == 0.5
+        assert report.robustness == 0
 
     def test_plus_i(self):
         rho = states.from_pure(states.plus_i())
+        report = measures.classify(rho)
         assert abs(measures.imaginarity_trace_norm(rho) - 2) <= 1e-12
-        assert abs(measures.imaginarity_fidelity(rho) - 1) <= 1e-12
-        assert abs(measures.robustness(rho) - 1) <= 1e-12
+        assert abs(report.imag_fidelity - 1) <= 1e-12
+        assert abs(report.robustness - 1) <= 1e-12
 
     def test_pure_xy_plane_state(self):
         rho = states.state_of(BlochVector(0.6, 0.8, 0.0))
+        report = measures.classify(rho)
         assert abs(measures.imaginarity_trace_norm(rho) - 1.6) <= 1e-12
-        assert abs(measures.imaginarity_fidelity(rho) - 0.9) <= 1e-12
-        assert abs(measures.robustness(rho) - 0.8) <= 1e-12
+        assert abs(report.imag_fidelity - 0.9) <= 1e-12
+        assert abs(report.robustness - 0.8) <= 1e-12
 
     def test_closed_form_consistency(self):
         for seed in range(40):

@@ -87,6 +87,12 @@ class TestValidation:
             with pytest.raises(StateValidationError, match="norm"):
                 BlochVector(bad, 0.0, 0.0)
 
+    def test_rejects_bloch_coordinates_whose_squares_overflow(self):
+        # `imaginarity gen bloch 1e200 0 0` left an OverflowError traceback.
+        for bad in (1e200, -1e308):
+            with pytest.raises(StateValidationError, match=r"norm\^2 = inf"):
+                BlochVector(0.0, bad, 0.0)
+
     def test_matrix_is_immutable(self):
         rho = states.from_pure(states.plus_i())
         with pytest.raises(ValueError):
